@@ -194,6 +194,10 @@ class TokenChannel
                now >= stallUntil_;
     }
 
+    /** Host time from which writableAt() holds again while a
+     *  stop-and-wait epoch stall is pending (producer-side). */
+    double stallUntil() const { return stallUntil_; }
+
     /** Payload-only serialization of one token within a frame. */
     double
     payloadSerNs() const
@@ -441,6 +445,16 @@ class TokenChannel
         ++deqCount_;
         if (concurrent_)
             logPops(consumerNowNs_, 1, 0);
+    }
+
+    /** Consumer side: advance the consumer's host-time clock to
+     *  @p now without looking at the queue — what a reliable
+     *  channel's headReady() poll at that time records when it finds
+     *  nothing new. */
+    void
+    noteConsumerTime(double now)
+    {
+        consumerNowNs_ = std::max(consumerNowNs_, now);
     }
 
     /** "No target cycle" for retire(): the consumer did not report

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <istream>
+#include <limits>
 #include <ostream>
 
 #include "base/logging.hh"
@@ -80,7 +81,7 @@ LIBDNModel::defineOutputChannel(const ChannelSpec &spec)
     outPortIdx_.push_back(std::move(idx));
     for (auto &th : threads_) {
         th.outChans.resize(outSpecs_.size());
-        th.fired.resize(outSpecs_.size(), false);
+        th.fired.resize(outSpecs_.size(), 0);
     }
     return int(outSpecs_.size()) - 1;
 }
@@ -149,7 +150,9 @@ LIBDNModel::finalize()
     }
 
     for (unsigned t = 0; t < numThreads_; ++t) {
-        const ThreadState &th = threads_[t];
+        ThreadState &th = threads_[t];
+        th.situation.assign(inSpecs_.size() + outSpecs_.size(), 0);
+        th.lastSituation = th.situation;
         for (size_t c = 0; c < inSpecs_.size(); ++c) {
             if (!th.inChans[c]) {
                 fatal("partition '", name_, "': input channel '",
@@ -191,26 +194,27 @@ LIBDNModel::threadTick(ThreadState &th, double now)
     // Cheap no-change check: if the channel situation is identical to
     // the last tick of this thread within the same target cycle, the
     // FSMs cannot make new progress, so skip the evaluation.
-    std::vector<bool> situation;
-    situation.reserve(th.inChans.size() + th.outChans.size());
-    for (const auto &ch : th.inChans)
-        situation.push_back(ch->headReady(now));
+    const size_t nin = th.inChans.size();
+    for (size_t c = 0; c < nin; ++c)
+        th.situation[c] = th.inChans[c]->headReady(now);
     for (size_t c = 0; c < th.outChans.size(); ++c)
-        situation.push_back(!th.fired[c] && !th.outChans[c]->full() &&
-                            th.outChans[c]->writableAt(now));
-    if (th.situationValid && situation == th.lastSituation)
+        th.situation[nin + c] = !th.fired[c] &&
+                                !th.outChans[c]->full() &&
+                                th.outChans[c]->writableAt(now);
+    if (th.situationValid && th.situation == th.lastSituation)
         return false;
-    th.lastSituation = situation;
+    th.lastSituation.swap(th.situation);
     th.situationValid = true;
+    // The input half of the situation is exactly which input tokens
+    // are visible now.
+    const uint8_t *in_avail = th.lastSituation.data();
 
     if (numThreads_ > 1)
         sim_->loadState(th.seq);
 
     // Poke values of every visible input token.
-    std::vector<bool> in_avail(th.inChans.size(), false);
-    for (size_t c = 0; c < th.inChans.size(); ++c) {
-        if (th.inChans[c]->headReady(now)) {
-            in_avail[c] = true;
+    for (size_t c = 0; c < nin; ++c) {
+        if (in_avail[c]) {
             const Token &token = th.inChans[c]->head();
             FIREAXE_ASSERT(token.size() == inPortIdx_[c].size());
             for (size_t i = 0; i < token.size(); ++i)
@@ -247,17 +251,17 @@ LIBDNModel::threadTick(ThreadState &th, double now)
         // host cycle.
         if (!th.outChans[c]->tryEnqTimed(token, now))
             continue;
-        th.fired[c] = true;
+        th.fired[c] = 1;
         ++fires_;
         progress = true;
     }
 
     // fireFSM: advance a target cycle when every input channel has a
     // token and every output channel has fired.
-    bool all_in = std::all_of(in_avail.begin(), in_avail.end(),
-                              [](bool b) { return b; });
+    bool all_in = std::all_of(in_avail, in_avail + nin,
+                              [](uint8_t b) { return b != 0; });
     bool all_fired = std::all_of(th.fired.begin(), th.fired.end(),
-                                 [](bool b) { return b; });
+                                 [](uint8_t b) { return b != 0; });
     if (all_in && all_fired) {
         if (monitor_ && th.cycle >= monitorSuppressUntil_)
             monitor_(*sim_, thread_id, th.cycle);
@@ -266,7 +270,7 @@ LIBDNModel::threadTick(ThreadState &th, double now)
         sim_->step();
         ++th.cycle;
         ++advances_;
-        std::fill(th.fired.begin(), th.fired.end(), false);
+        std::fill(th.fired.begin(), th.fired.end(), 0);
         th.situationValid = false;
         progress = true;
         if (numThreads_ > 1)
@@ -285,6 +289,36 @@ LIBDNModel::tick(double now)
 {
     FIREAXE_ASSERT(finalized_, "finalize() before tick()");
     return threadTick(threads_[curThread_], now);
+}
+
+double
+LIBDNModel::nextWake(double now) const
+{
+    // A no-progress tick at `now` polled every input at `now`, so an
+    // input whose head is stamped at or before `now` is visible and
+    // stays so until this partition retires it. Outputs only change
+    // through this partition (fired), its consumer (occupancy), or
+    // the stop-and-wait horizon.
+    const ThreadState &th = threads_[curThread_];
+    double wake = std::numeric_limits<double>::infinity();
+    for (const auto &ch : th.inChans) {
+        double t = ch->headReadyTime();
+        if (t > now)
+            wake = std::min(wake, t);
+    }
+    for (size_t c = 0; c < th.outChans.size(); ++c) {
+        const TokenChannel &ch = *th.outChans[c];
+        if (!th.fired[c] && !ch.full() && !ch.writableAt(now))
+            wake = std::min(wake, ch.stallUntil());
+    }
+    return wake;
+}
+
+void
+LIBDNModel::skipIdleTicks(double last)
+{
+    for (auto &ch : threads_[curThread_].inChans)
+        ch->noteConsumerTime(last);
 }
 
 uint64_t
@@ -319,7 +353,7 @@ LIBDNModel::saveFsm(std::ostream &os) const
        << advances_ << "\n";
     for (const ThreadState &th : threads_) {
         os << th.cycle << " " << th.fired.size();
-        for (bool f : th.fired)
+        for (uint8_t f : th.fired)
             os << " " << (f ? 1 : 0);
         os << "\n";
         os << th.seq.regValues.size();
@@ -361,7 +395,7 @@ LIBDNModel::tryLoadFsm(std::istream &is, std::string &error)
     struct ThreadCkpt
     {
         uint64_t cycle = 0;
-        std::vector<bool> fired;
+        std::vector<uint8_t> fired;
         rtlsim::SeqState seq;
     };
     std::vector<ThreadCkpt> loaded(threads);

@@ -128,6 +128,26 @@ class LIBDNModel
      */
     bool tick(double now);
 
+    /**
+     * Earliest host time at which the scheduled thread's channel
+     * situation can change without help from a peer partition: the
+     * ready time of each input head not yet visible, and the
+     * stop-and-wait expiry of each unfired, non-full output the epoch
+     * protocol still blocks. +inf when only a peer can unblock it.
+     * Valid right after a tick(@p now) that made no progress: until
+     * this time, or until a peer moves a token on one of this
+     * partition's channels, every further tick is a no-op.
+     */
+    double nextWake(double now) const;
+
+    /**
+     * Account for no-op ticks the executor skipped instead of
+     * running, the last of them at host time @p last: each would have
+     * polled the scheduled thread's inputs and found nothing new, so
+     * only their consumer clocks move.
+     */
+    void skipIdleTicks(double last);
+
     /** Target cycle count of a thread. */
     uint64_t targetCycle(unsigned thread = 0) const;
 
@@ -198,10 +218,15 @@ class LIBDNModel
         rtlsim::SeqState seq;
         std::vector<ChannelPtr> inChans;
         std::vector<ChannelPtr> outChans;
-        std::vector<bool> fired;
+        std::vector<uint8_t> fired;
         uint64_t cycle = 0;
-        // Situation signature for cheap no-change detection.
-        std::vector<bool> lastSituation;
+        // Channel situation (inputs visible, then outputs enabled)
+        // for cheap no-change detection: the current tick's is built
+        // in `situation`, the last evaluated tick's kept in
+        // `lastSituation`. Sized once by finalize(), so a tick never
+        // allocates.
+        std::vector<uint8_t> situation;
+        std::vector<uint8_t> lastSituation;
         bool situationValid = false;
     };
 

@@ -9,18 +9,42 @@
 
 namespace fireaxe::libdn {
 
+namespace {
+
+/** Slicing-by-8 tables for the reflected CRC-32 polynomial
+ *  0xEDB88320: kCrcTables[0] is the classic byte table, and
+ *  kCrcTables[k][b] advances byte b through k further zero bytes. */
+constexpr std::array<std::array<uint32_t, 256>, 8> kCrcTables = [] {
+    std::array<std::array<uint32_t, 256>, 8> t{};
+    for (uint32_t b = 0; b < 256; ++b) {
+        uint32_t crc = b;
+        for (int k = 0; k < 8; ++k)
+            crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+        t[0][b] = crc;
+    }
+    for (size_t k = 1; k < 8; ++k)
+        for (uint32_t b = 0; b < 256; ++b)
+            t[k][b] = (t[k - 1][b] >> 8) ^ t[0][t[k - 1][b] & 0xFF];
+    return t;
+}();
+
+} // namespace
+
 uint32_t
 tokenCrc(const Token &token)
 {
-    // Bitwise CRC-32 (IEEE 802.3, reflected 0xEDB88320) over the
-    // little-endian bytes of each payload word.
+    // CRC-32 (IEEE 802.3, reflected 0xEDB88320) over the
+    // little-endian bytes of each payload word, eight bytes per
+    // step (slicing-by-8).
+    const auto &t = kCrcTables;
     uint32_t crc = 0xFFFFFFFFu;
     for (uint64_t word : token) {
-        for (int b = 0; b < 8; ++b) {
-            crc ^= uint32_t((word >> (8 * b)) & 0xFF);
-            for (int k = 0; k < 8; ++k)
-                crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
-        }
+        uint32_t lo = crc ^ uint32_t(word);
+        uint32_t hi = uint32_t(word >> 32);
+        crc = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^
+              t[5][(lo >> 16) & 0xFF] ^ t[4][lo >> 24] ^
+              t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+              t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
     }
     return ~crc;
 }

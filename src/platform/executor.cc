@@ -657,21 +657,21 @@ MultiFpgaSim::streamFlush(double now)
         stream_->writeMetrics(reg->snapshot(), now, cycle);
 }
 
-void
-MultiFpgaSim::maybeStreamFlush(double now)
+bool
+MultiFpgaSim::streamDue()
 {
     if (!stream_ || streamEveryCycles_ == 0 || partTel_.empty())
-        return;
+        return false;
     uint64_t cycle =
         partTel_[0].targetCycles.load(std::memory_order_relaxed);
     for (const auto &pt : partTel_)
         cycle = std::min(
             cycle, pt.targetCycles.load(std::memory_order_relaxed));
     if (cycle < nextStreamCycle_)
-        return;
+        return false;
     while (nextStreamCycle_ <= cycle)
         nextStreamCycle_ += streamEveryCycles_;
-    streamFlush(now);
+    return true;
 }
 
 obs::MetricsSnapshot
@@ -767,9 +767,10 @@ MultiFpgaSim::run(uint64_t target_cycles)
     }
 }
 
-void
+bool
 MultiFpgaSim::checkFailover(int p, double now)
 {
+    bool any = false;
     // Graceful degradation: a channel that exhausted its retry
     // budget fails over to host-managed PCIe (the transport that
     // works anywhere) and keeps the run alive, just slower. Under
@@ -784,6 +785,7 @@ MultiFpgaSim::checkFailover(int p, double now)
                 transport::tokenSerNs(host, cs.chan->widthBits()),
                 transport::tokenLatencyNs(host));
             cs.failedOver = true;
+            any = true;
             linkFailovers_.fetch_add(1, std::memory_order_relaxed);
             if (cs.chan->probe())
                 cs.chan->probe()->onEvent("failover", now);
@@ -792,6 +794,7 @@ MultiFpgaSim::checkFailover(int p, double now)
                  host.name);
         }
     }
+    return any;
 }
 
 void
@@ -849,6 +852,79 @@ MultiFpgaSim::runSequential(uint64_t target_cycles)
         return true;
     };
 
+    // Idle skip (DESIGN.md §5k). A partition whose tick made no
+    // progress parks until[p], the time its situation can next change
+    // on its own; the ticks of its host-period grid before then are
+    // idle. While parked, wake[p] is only a lower bound on its next
+    // executed tick; the scheduler snaps it to the grid when it comes
+    // up. Idle ticks are settled (walked and charged) lazily:
+    // next_tick[p] <= wake[p] is always the first tick not yet
+    // executed or settled, which is the tick-by-tick loop's state.
+    std::vector<double> wake(next_tick);
+    std::vector<double> until(num_parts);
+    std::vector<uint8_t> parked(num_parts, 0);
+    // Channels at either end of each partition, and each channel's
+    // occupancy after the last tick of either endpoint.
+    std::vector<std::vector<size_t>> touching(num_parts);
+    std::vector<size_t> seen_occ(channels_.size());
+    for (size_t c = 0; c < channels_.size(); ++c) {
+        touching[channels_[c].srcPart].push_back(c);
+        touching[channels_[c].dstPart].push_back(c);
+        seen_occ[c] = channels_[c].chan->size();
+    }
+    const obs::TelemetryConfig *tcfg =
+        telemetry_ ? &telemetry_->config() : nullptr;
+    bool fmr_sampling = tcfg && telemetry_->registry() &&
+                        tcfg->fmrSampleIntervalNs > 0.0;
+    bool reporting = tcfg && tcfg->progressIntervalNs > 0.0;
+
+    // Settle partition q's idle ticks that precede (at, p) in the
+    // loop's (time, index) order.
+    auto settle = [&](size_t q, double at, size_t p) {
+        uint64_t idle = 0;
+        double &t = next_tick[q];
+        double last = t;
+        while (t < wake[q] && (t < at || (t == at && q < p))) {
+            last = t;
+            t += period[q];
+            ++idle;
+        }
+        if (idle == 0)
+            return;
+        models_[q]->skipIdleTicks(last);
+        if (telemetry_) {
+            partTel_[q].hostCycles.fetch_add(
+                idle, std::memory_order_relaxed);
+            obs::add(partTel_[q].waitTicks, idle);
+        }
+    };
+    auto settleAll = [&](double at, size_t p) {
+        for (size_t q = 0; q < num_parts; ++q)
+            settle(q, at, p);
+    };
+    // Early wake: q ticks at its first grid tick after (at, p).
+    auto wakeUp = [&](size_t q, double at, size_t p) {
+        settle(q, at, p);
+        wake[q] = next_tick[q];
+        parked[q] = 0;
+    };
+    // A parked partition's next executed tick: the first grid tick at
+    // or after until[q], or an earlier one that must run for the
+    // watchdog, an FMR sample or a progress report.
+    auto snap = [&](size_t q) {
+        double t = next_tick[q];
+        while (t < until[q] && t - last_progress <= deadlock_window &&
+               !(fmr_sampling &&
+                 t - partTel_[q].lastFmrSampleNs >=
+                     tcfg->fmrSampleIntervalNs) &&
+               !(reporting &&
+                 t - lastReportNs_ >= tcfg->progressIntervalNs))
+            t += period[q];
+        wake[q] = t;
+        parked[q] = 0;
+    };
+
+    size_t p = 0;
     while (true) {
         if (allDone())
             break;
@@ -861,12 +937,18 @@ MultiFpgaSim::runSequential(uint64_t target_cycles)
             break;
         }
 
-        // Next partition tick in host time.
-        size_t p = 0;
-        for (size_t i = 1; i < num_parts; ++i)
-            if (next_tick[i] < next_tick[p])
-                p = i;
-        now = next_tick[p];
+        // Next partition tick in host time (ties: lowest index).
+        while (true) {
+            p = 0;
+            for (size_t i = 1; i < num_parts; ++i)
+                if (wake[i] < wake[p])
+                    p = i;
+            if (!parked[p])
+                break;
+            snap(p);
+        }
+        now = wake[p];
+        settle(p, now, p);
 
         uint64_t before = models_[p]->minTargetCycle();
         bool progress = models_[p]->tick(now);
@@ -877,23 +959,44 @@ MultiFpgaSim::runSequential(uint64_t target_cycles)
         double step = advanced ? period[p] * plan_.fame5Threads[p]
                                : period[p];
         next_tick[p] = now + step;
+        wake[p] = next_tick[p];
 
         if (progress)
             last_progress = now;
 
+        // A tick that moved tokens on a channel wakes the partition
+        // at its other end: a push may feed its input, a pop (also a
+        // discarded link-layer duplicate) may unblock its output.
+        for (size_t c : touching[p]) {
+            size_t occ = channels_[c].chan->size();
+            if (occ == seen_occ[c])
+                continue;
+            seen_occ[c] = occ;
+            const ChannelState &cs = channels_[c];
+            wakeUp(size_t(cs.srcPart == int(p) ? cs.dstPart
+                                               : cs.srcPart),
+                   now, p);
+        }
+
         if (telemetry_) {
             telemetryTick(p, now, step, progress, advanced);
-            maybeStreamFlush(now);
-            const obs::TelemetryConfig &tcfg = telemetry_->config();
-            if (tcfg.progressIntervalNs > 0.0 &&
-                now - lastReportNs_ >= tcfg.progressIntervalNs) {
+            if (streamDue()) {
+                settleAll(now, p);
+                streamFlush(now);
+            }
+            if (reporting &&
+                now - lastReportNs_ >= tcfg->progressIntervalNs) {
                 lastReportNs_ = now;
+                settleAll(now, p);
                 reportProgress(now, target_cycles);
             }
         }
 
-        if (faults_.enabled())
-            checkFailover(-1, now);
+        // A failed-over channel drops its epoch stall, which can
+        // unblock a parked producer.
+        if (faults_.enabled() && checkFailover(-1, now))
+            for (size_t q = 0; q < num_parts; ++q)
+                wakeUp(q, now, p);
 
         if (now - last_progress > deadlock_window) {
             // Watchdog: before declaring deadlock, check whether any
@@ -935,8 +1038,32 @@ MultiFpgaSim::runSequential(uint64_t target_cycles)
             result.stopped = true;
             break;
         }
+
+        // Park until the partition's situation can change on its
+        // own; a peer's token move wakes it earlier. wake[p] becomes
+        // a lower bound on the tick snap() will find: the stop
+        // conditions hold no earlier than one period (far more than
+        // any rounding) before their exact-arithmetic times.
+        if (!progress) {
+            until[p] = models_[p]->nextWake(now);
+            double bound = std::min(
+                until[p], last_progress + deadlock_window - period[p]);
+            if (fmr_sampling)
+                bound = std::min(bound, partTel_[p].lastFmrSampleNs +
+                                            tcfg->fmrSampleIntervalNs -
+                                            period[p]);
+            if (reporting)
+                bound = std::min(bound, lastReportNs_ +
+                                            tcfg->progressIntervalNs -
+                                            period[p]);
+            if (bound > wake[p]) {
+                wake[p] = bound;
+                parked[p] = 1;
+            }
+        }
     }
 
+    settleAll(now, p);
     finishRun(result, now);
     return result;
 }
@@ -1022,7 +1149,8 @@ MultiFpgaSim::runParallel(uint64_t target_cycles)
             // partition 0's worker so lastReportNs_ and the stream
             // cursor stay single-writer.
             if (p == 0) {
-                maybeStreamFlush(now);
+                if (streamDue())
+                    streamFlush(now);
                 const obs::TelemetryConfig &tcfg =
                     telemetry_->config();
                 if (tcfg.progressIntervalNs > 0.0 &&

@@ -601,14 +601,16 @@ class MultiFpgaSim
     void reportProgress(double now, uint64_t target_cycles);
     /** Final gauges + snapshot into @p result. */
     void finalizeTelemetry(RunResult &result, double now);
-    /** Streaming telemetry: emit a tokens + metrics chunk when the
-     *  slowest partition crossed the next stream boundary. Called
-     *  from the single-writer seam of each backend (the main loop
-     *  sequentially, partition 0's worker in parallel). */
-    void maybeStreamFlush(double now);
+    /** Streaming telemetry: the slowest partition crossed the next
+     *  stream boundary, so a tokens + metrics chunk is due (advances
+     *  the boundary). Called from the single-writer seam of each
+     *  backend (the main loop sequentially, partition 0's worker in
+     *  parallel). */
+    bool streamDue();
     /** Unconditional stream chunk (drain + tokens + metrics line). */
     void streamFlush(double now);
-    /** The original single-threaded discrete-event loop. */
+    /** The single-threaded discrete-event loop; skips the idle
+     *  host cycles of parked partitions (DESIGN.md §5k). */
     RunResult runSequential(uint64_t target_cycles);
     /** The same schedule on the src/par worker-thread engine. */
     RunResult runParallel(uint64_t target_cycles);
@@ -617,8 +619,9 @@ class MultiFpgaSim
     void finishRun(RunResult &result, double now);
     /** Fail partition @p p's retry-exhausted output channels over to
      *  host-managed PCIe; p < 0 scans every channel. Runs on the
-     *  producing partition's owning thread. */
-    void checkFailover(int p, double now);
+     *  producing partition's owning thread. True when any channel
+     *  failed over. */
+    bool checkFailover(int p, double now);
     /** One event-loop execution to @p target_cycles on the selected
      *  backend (no autosnapshot chunking). */
     RunResult runOnce(uint64_t target_cycles);

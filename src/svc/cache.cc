@@ -9,14 +9,11 @@ namespace fireaxe::svc {
 // --- Shard --------------------------------------------------------
 
 std::shared_ptr<const void>
-ArtifactCache::Shard::find(uint64_t key)
+ArtifactCache::Shard::lookup(uint64_t key)
 {
     auto it = map.find(key);
-    if (it == map.end()) {
-        ++stats.misses;
+    if (it == map.end())
         return nullptr;
-    }
-    ++stats.hits;
     lru.splice(lru.begin(), lru, it->second);
     return it->second->value;
 }
@@ -70,6 +67,32 @@ ArtifactCache::Shard::snapshot() const
 
 // --- ArtifactCache ------------------------------------------------
 
+namespace {
+
+size_t
+elabBytes(const void *e)
+{
+    return static_cast<const Elaboration *>(e)->byteSize;
+}
+
+size_t
+reportBytes(const void *r)
+{
+    return estimateReportBytes(*static_cast<const verify::Report *>(r));
+}
+
+size_t
+programSetBytes(const void *s)
+{
+    size_t bytes = sizeof(ArtifactCache::ProgramSet);
+    for (const auto &p : *static_cast<const ArtifactCache::ProgramSet *>(s))
+        if (p)
+            bytes += p->byteSize();
+    return bytes;
+}
+
+} // namespace
+
 ArtifactCache::ArtifactCache(const CacheBudgets &budgets)
 {
     elab_.budget = budgets.elabBytes;
@@ -77,58 +100,74 @@ ArtifactCache::ArtifactCache(const CacheBudgets &budgets)
     program_.budget = budgets.programBytes;
 }
 
-std::shared_ptr<const Elaboration>
-ArtifactCache::findElaboration(uint64_t key)
+std::shared_ptr<const void>
+ArtifactCache::findOrBuild(
+    Shard &shard, uint64_t key,
+    const std::function<std::shared_ptr<const void>()> &build,
+    size_t (*bytes)(const void *), bool &hit)
 {
-    std::lock_guard<std::mutex> lock(mtx_);
-    return std::static_pointer_cast<const Elaboration>(
-        elab_.find(key));
+    std::unique_lock<std::mutex> lock(mtx_);
+    // A disabled shard caches nothing, so there is nothing to share.
+    bool shared = shard.budget > 0;
+    while (shared) {
+        if (std::shared_ptr<const void> value = shard.lookup(key)) {
+            ++shard.stats.hits;
+            hit = true;
+            return value;
+        }
+        if (!shard.building.count(key))
+            break;
+        ++shard.stats.inflightWaits;
+        built_.wait(lock, [&] { return !shard.building.count(key); });
+    }
+    ++shard.stats.misses;
+    hit = false;
+    if (shared)
+        shard.building.insert(key);
+    lock.unlock();
+
+    std::shared_ptr<const void> value;
+    try {
+        value = build();
+    } catch (...) {
+        lock.lock();
+        shard.building.erase(key);
+        built_.notify_all();
+        throw;
+    }
+    lock.lock();
+    if (shared) {
+        if (value)
+            shard.put(key, value, bytes(value.get()));
+        shard.building.erase(key);
+        built_.notify_all();
+    }
+    return value;
 }
 
-void
-ArtifactCache::putElaboration(uint64_t key,
-                              std::shared_ptr<const Elaboration> e)
+std::shared_ptr<const Elaboration>
+ArtifactCache::elaboration(uint64_t key,
+                           const Builder<Elaboration> &build,
+                           bool &hit)
 {
-    std::lock_guard<std::mutex> lock(mtx_);
-    size_t entry_bytes = e->byteSize;
-    elab_.put(key, std::move(e), entry_bytes);
+    return std::static_pointer_cast<const Elaboration>(
+        findOrBuild(elab_, key, build, elabBytes, hit));
 }
 
 std::shared_ptr<const verify::Report>
-ArtifactCache::findReport(uint64_t key)
+ArtifactCache::report(uint64_t key,
+                      const Builder<verify::Report> &build, bool &hit)
 {
-    std::lock_guard<std::mutex> lock(mtx_);
     return std::static_pointer_cast<const verify::Report>(
-        report_.find(key));
-}
-
-void
-ArtifactCache::putReport(uint64_t key,
-                         std::shared_ptr<const verify::Report> r)
-{
-    std::lock_guard<std::mutex> lock(mtx_);
-    size_t entry_bytes = estimateReportBytes(*r);
-    report_.put(key, std::move(r), entry_bytes);
+        findOrBuild(report_, key, build, reportBytes, hit));
 }
 
 std::shared_ptr<const ArtifactCache::ProgramSet>
-ArtifactCache::findPrograms(uint64_t key)
+ArtifactCache::programs(uint64_t key, const Builder<ProgramSet> &build,
+                        bool &hit)
 {
-    std::lock_guard<std::mutex> lock(mtx_);
     return std::static_pointer_cast<const ProgramSet>(
-        program_.find(key));
-}
-
-void
-ArtifactCache::putPrograms(uint64_t key,
-                           std::shared_ptr<const ProgramSet> set)
-{
-    std::lock_guard<std::mutex> lock(mtx_);
-    size_t entry_bytes = sizeof(ProgramSet);
-    for (const auto &p : *set)
-        if (p)
-            entry_bytes += p->byteSize();
-    program_.put(key, std::move(set), entry_bytes);
+        findOrBuild(program_, key, build, programSetBytes, hit));
 }
 
 CacheShardStats

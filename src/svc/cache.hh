@@ -27,18 +27,24 @@
  *
  * Thread safety: one mutex per cache instance; every operation is a
  * short map lookup + list splice. The service's worker pool shares
- * one instance.
+ * one instance. The build-through lookups (elaboration(), report(),
+ * programs()) are single-flight: when several jobs miss on one key
+ * at once, the first builds and the others wait for its artifact
+ * instead of building it again.
  */
 
 #ifndef FIREAXE_SVC_CACHE_HH
 #define FIREAXE_SVC_CACHE_HH
 
+#include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "ripper/partition.hh"
@@ -64,6 +70,9 @@ struct CacheShardStats
     uint64_t misses = 0;
     uint64_t insertions = 0;
     uint64_t evictions = 0;
+    /** Lookups that waited for a concurrent build of the same key
+     *  (single-flight) instead of building it again. */
+    uint64_t inflightWaits = 0;
     size_t entries = 0;
     size_t bytes = 0;
     size_t budget = 0;
@@ -85,20 +94,31 @@ class ArtifactCache
 
     explicit ArtifactCache(const CacheBudgets &budgets = {});
 
-    // --- elaborations (keyed by JobSpec::elabSignature()) ---------
-    std::shared_ptr<const Elaboration> findElaboration(uint64_t key);
-    void putElaboration(uint64_t key,
-                        std::shared_ptr<const Elaboration> elab);
+    /** Builds one artifact on a miss; null means it could not be
+     *  built (nothing is cached, and the next waiter builds). */
+    template <typename T>
+    using Builder = std::function<std::shared_ptr<const T>()>;
 
-    // --- verify reports (keyed by platform::contentHash) ----------
-    std::shared_ptr<const verify::Report> findReport(uint64_t key);
-    void putReport(uint64_t key,
-                   std::shared_ptr<const verify::Report> report);
-
-    // --- compiled program sets (keyed by platform::contentHash) ---
-    std::shared_ptr<const ProgramSet> findPrograms(uint64_t key);
-    void putPrograms(uint64_t key,
-                     std::shared_ptr<const ProgramSet> programs);
+    // --- build-through lookups, one per shard ---------------------
+    //
+    // Elaborations are keyed by JobSpec::elabSignature(), verify
+    // reports and compiled program sets by platform::contentHash.
+    // A hit returns the cached artifact. The first miss on a key
+    // runs @p build outside the lock and caches its result; misses
+    // on the same key while that build runs wait for it (counted in
+    // CacheShardStats::inflightWaits) and then count as hits
+    // (single-flight). @p hit tells whether this call got the
+    // artifact without building it. Exceptions from @p build
+    // propagate to its caller and release the waiters, one of which
+    // then builds.
+    std::shared_ptr<const Elaboration>
+    elaboration(uint64_t key, const Builder<Elaboration> &build,
+                bool &hit);
+    std::shared_ptr<const verify::Report>
+    report(uint64_t key, const Builder<verify::Report> &build,
+           bool &hit);
+    std::shared_ptr<const ProgramSet>
+    programs(uint64_t key, const Builder<ProgramSet> &build, bool &hit);
 
     CacheShardStats elabStats() const;
     CacheShardStats reportStats() const;
@@ -127,16 +147,28 @@ class ArtifactCache
         size_t bytes = 0;
         std::list<Entry> lru; ///< front = most recently used
         std::unordered_map<uint64_t, std::list<Entry>::iterator> map;
+        /** Keys a single-flight lookup is building right now. */
+        std::unordered_set<uint64_t> building;
         CacheShardStats stats;
 
-        std::shared_ptr<const void> find(uint64_t key);
+        /** Entry for @p key (refreshing its recency) or null. */
+        std::shared_ptr<const void> lookup(uint64_t key);
         void put(uint64_t key, std::shared_ptr<const void> value,
                  size_t bytes);
         void clear();
         CacheShardStats snapshot() const;
     };
 
+    /** Single-flight core of the typed build-through lookups;
+     *  @p bytes sizes a built artifact for the shard budget. */
+    std::shared_ptr<const void>
+    findOrBuild(Shard &shard, uint64_t key,
+                const std::function<std::shared_ptr<const void>()> &build,
+                size_t (*bytes)(const void *), bool &hit);
+
     mutable std::mutex mtx_;
+    /** Signalled whenever a single-flight build finishes. */
+    std::condition_variable built_;
     Shard elab_;
     Shard report_;
     Shard program_;

@@ -37,12 +37,7 @@ bool
 JobRunner::elaborate()
 {
     auto t0 = std::chrono::steady_clock::now();
-    uint64_t key = spec_.elabSignature();
-    if (cache_)
-        elab_ = cache_->findElaboration(key);
-    if (elab_) {
-        outcome_.elabCacheHit = true;
-    } else {
+    auto build = [this]() -> std::shared_ptr<const Elaboration> {
         const TargetInfo *t = findTarget(spec_.target);
         auto circuit = t->build();
         auto pspec = t->spec(circuit);
@@ -56,10 +51,11 @@ JobRunner::elaborate()
                 ch.capacity = size_t(spec_.channelCapacity);
         fresh->contentHash = platform::contentHash(fresh->plan);
         fresh->byteSize = estimatePlanBytes(fresh->plan);
-        elab_ = fresh;
-        if (cache_)
-            cache_->putElaboration(key, elab_);
-    }
+        return fresh;
+    };
+    elab_ = cache_ ? cache_->elaboration(spec_.elabSignature(), build,
+                                         outcome_.elabCacheHit)
+                   : build();
     outcome_.elaborateNs = elapsedNs(t0);
     outcome_.artifactHash = elab_->contentHash;
     return true;
@@ -69,23 +65,19 @@ bool
 JobRunner::verifyPhase()
 {
     auto t0 = std::chrono::steady_clock::now();
-    std::shared_ptr<const verify::Report> report;
-    if (cache_)
-        report = cache_->findReport(elab_->contentHash);
-    if (report) {
-        outcome_.verifyCacheHit = true;
-    } else {
+    auto build = [this]() -> std::shared_ptr<const verify::Report> {
         // Same options as the executor's own pre-flight gate (IR005
         // dead-logic is too noisy for a hard gate), so skipping the
         // executor's verification below loses nothing.
         verify::Options opts;
         opts.checkDeadLogic = false;
-        auto fresh = std::make_shared<verify::Report>(
+        return std::make_shared<verify::Report>(
             verify::verifyPlan(elab_->plan, opts));
-        report = fresh;
-        if (cache_)
-            cache_->putReport(elab_->contentHash, report);
-    }
+    };
+    std::shared_ptr<const verify::Report> report =
+        cache_ ? cache_->report(elab_->contentHash, build,
+                                outcome_.verifyCacheHit)
+               : build();
     outcome_.verifyNs = elapsedNs(t0);
     if (report->hasErrors()) {
         outcome_.error = "plan rejected by static verification";
@@ -193,35 +185,37 @@ JobRunner::execute(std::ostream *stream_sink)
                 });
         }
 
-        // Seed cached compiled bytecode programs before init builds
-        // the simulators; a shape mismatch degrades to a fresh
-        // compile inside the engine, never to wrong results.
-        bool compiled_engine =
-            sim_->execConfig().evalEngine ==
-            rtlsim::EvalEngine::Compiled;
-        if (compiled_engine && cache_) {
-            if (auto set = cache_->findPrograms(elab_->contentHash)) {
-                outcome_.programCacheHit = true;
-                sim_->setPrecompiledPrograms(*set);
-            }
-        }
-
+        // Compiled programs come out of the cache when another run
+        // of this content already compiled them (a shape mismatch
+        // degrades to a fresh compile inside the engine, never to
+        // wrong results); otherwise this run's init compiles them
+        // and they are harvested for the next submission. Concurrent
+        // first runs of one design compile once: the others wait.
         auto t0 = std::chrono::steady_clock::now();
-        sim_->init();
-        outcome_.initNs = elapsedNs(t0);
-
-        // Harvest freshly compiled programs so the next submission
-        // of this content skips compilation.
-        if (compiled_engine && cache_ && !outcome_.programCacheHit) {
-            auto set = std::make_shared<ArtifactCache::ProgramSet>();
-            bool complete = true;
-            for (size_t p = 0; p < nparts; ++p) {
-                set->push_back(sim_->compiledProgram(int(p)));
-                complete = complete && set->back() != nullptr;
-            }
-            if (complete)
-                cache_->putPrograms(elab_->contentHash, set);
+        bool initialized = false;
+        if (sim_->execConfig().evalEngine ==
+                rtlsim::EvalEngine::Compiled &&
+            cache_) {
+            auto build =
+                [&]() -> std::shared_ptr<const ArtifactCache::ProgramSet> {
+                sim_->init();
+                initialized = true;
+                auto set = std::make_shared<ArtifactCache::ProgramSet>();
+                for (size_t p = 0; p < nparts; ++p) {
+                    set->push_back(sim_->compiledProgram(int(p)));
+                    if (!set->back())
+                        return nullptr;
+                }
+                return set;
+            };
+            auto set = cache_->programs(elab_->contentHash, build,
+                                        outcome_.programCacheHit);
+            if (outcome_.programCacheHit)
+                sim_->setPrecompiledPrograms(*set);
         }
+        if (!initialized)
+            sim_->init();
+        outcome_.initNs = elapsedNs(t0);
 
         if (spec_.resume) {
             std::string error;

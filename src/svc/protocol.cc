@@ -210,6 +210,8 @@ writeShard(obs::JsonWriter &w, const char *key,
     w.value(s.insertions);
     w.key("evictions");
     w.value(s.evictions);
+    w.key("inflight_waits");
+    w.value(s.inflightWaits);
     w.key("entries");
     w.value(uint64_t(s.entries));
     w.key("bytes");

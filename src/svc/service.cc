@@ -120,10 +120,12 @@ SimService::submit(const JobSpec &spec, EventSink sink)
 void
 SimService::waitAll()
 {
+    // Every issued id completes exactly once (finished, or rejected
+    // by a drain). Counting them also covers a job that a worker has
+    // taken off the queue but not yet registered in active_, and one
+    // whose terminal line is out but whose completion is not.
     std::unique_lock<std::mutex> lock(mtx_);
-    doneCv_.wait(lock, [this] {
-        return queue_.empty() && active_.empty();
-    });
+    doneCv_.wait(lock, [this] { return completed_ == nextId_ - 1; });
 }
 
 bool

@@ -19,6 +19,9 @@
 #include <filesystem>
 #include <mutex>
 #include <sstream>
+#include <stdexcept>
+#include <thread>
+#include <unistd.h>
 #include <vector>
 
 #include "obs/json.hh"
@@ -40,8 +43,11 @@ namespace {
 std::string
 tempDir(const std::string &tag)
 {
+    // Per process, so concurrent runs of this suite never share a
+    // snapshot directory.
     auto dir = std::filesystem::temp_directory_path() /
-               ("fireaxe_svc_test_" + tag);
+               ("fireaxe_svc_test_" + tag + "_" +
+                std::to_string(getpid()));
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
     return dir.string();
@@ -211,55 +217,142 @@ TEST(SvcCache, HitMissAndLruEviction)
     budgets.elabBytes = 1000; // room for two 400-byte entries
     svc::ArtifactCache cache(budgets);
 
-    auto entry = [](uint64_t key) {
-        auto e = std::make_shared<svc::Elaboration>();
-        e->contentHash = key;
-        e->byteSize = 400;
-        return e;
+    unsigned builds = 0;
+    auto entry = [&](uint64_t key, size_t bytes = 400) {
+        return [&builds, key, bytes]() {
+            ++builds;
+            auto e = std::make_shared<svc::Elaboration>();
+            e->contentHash = key;
+            e->byteSize = bytes;
+            return std::shared_ptr<const svc::Elaboration>(e);
+        };
+    };
+    // Fetch @p key, building it on a miss; true on a hit.
+    auto fetch = [&](uint64_t key, size_t bytes = 400) {
+        bool hit = false;
+        auto e = cache.elaboration(key, entry(key, bytes), hit);
+        EXPECT_EQ(e->contentHash, key);
+        return hit;
     };
 
-    EXPECT_EQ(cache.findElaboration(1), nullptr);
-    cache.putElaboration(1, entry(1));
-    cache.putElaboration(2, entry(2));
-    ASSERT_NE(cache.findElaboration(1), nullptr);
-    ASSERT_NE(cache.findElaboration(2), nullptr);
+    EXPECT_FALSE(fetch(1));
+    EXPECT_FALSE(fetch(2));
+    EXPECT_TRUE(fetch(1));
+    EXPECT_TRUE(fetch(2));
+    EXPECT_EQ(builds, 2u);
 
     auto stats = cache.elabStats();
     EXPECT_EQ(stats.entries, 2u);
     EXPECT_EQ(stats.bytes, 800u);
     EXPECT_EQ(stats.hits, 2u);
-    EXPECT_EQ(stats.misses, 1u);
+    EXPECT_EQ(stats.misses, 2u);
     EXPECT_EQ(stats.evictions, 0u);
+    EXPECT_EQ(stats.inflightWaits, 0u);
 
     // Touch 1 so 2 becomes least-recently-used, then insert 3:
     // the budget forces 2 out, 1 stays.
-    ASSERT_NE(cache.findElaboration(1), nullptr);
-    cache.putElaboration(3, entry(3));
-    EXPECT_NE(cache.findElaboration(1), nullptr);
-    EXPECT_EQ(cache.findElaboration(2), nullptr);
-    EXPECT_NE(cache.findElaboration(3), nullptr);
+    EXPECT_TRUE(fetch(1));
+    EXPECT_FALSE(fetch(3));
+    EXPECT_TRUE(fetch(1));
+    EXPECT_TRUE(fetch(3));
     stats = cache.elabStats();
     EXPECT_EQ(stats.entries, 2u);
     EXPECT_GE(stats.evictions, 1u);
+    EXPECT_FALSE(fetch(2));
 
     // An entry bigger than the whole budget is never admitted.
-    auto huge = std::make_shared<svc::Elaboration>();
-    huge->byteSize = 4000;
-    cache.putElaboration(9, huge);
-    EXPECT_EQ(cache.findElaboration(9), nullptr);
+    EXPECT_FALSE(fetch(9, 4000));
+    EXPECT_FALSE(fetch(9, 4000));
     EXPECT_EQ(cache.elabStats().bytes, 800u);
 }
 
 TEST(SvcCache, ShardsAreIndependent)
 {
     svc::ArtifactCache cache;
+    bool hit = false;
     auto elab = std::make_shared<svc::Elaboration>();
     elab->byteSize = 64;
-    cache.putElaboration(5, elab);
+    cache.elaboration(
+        5, [&] { return std::shared_ptr<const svc::Elaboration>(elab); },
+        hit);
     // Same key in a different shard must not alias.
-    EXPECT_EQ(cache.findReport(5), nullptr);
-    EXPECT_EQ(cache.findPrograms(5), nullptr);
-    EXPECT_NE(cache.findElaboration(5), nullptr);
+    auto none = [] { return std::shared_ptr<const verify::Report>(); };
+    EXPECT_EQ(cache.report(5, none, hit), nullptr);
+    EXPECT_FALSE(hit);
+    auto no_programs = [] {
+        return std::shared_ptr<const svc::ArtifactCache::ProgramSet>();
+    };
+    EXPECT_EQ(cache.programs(5, no_programs, hit), nullptr);
+    EXPECT_FALSE(hit);
+    auto fail = []() -> std::shared_ptr<const svc::Elaboration> {
+        throw std::runtime_error("must hit");
+    };
+    EXPECT_EQ(cache.elaboration(5, fail, hit), elab);
+    EXPECT_TRUE(hit);
+}
+
+TEST(SvcCache, ConcurrentMissesBuildOnce)
+{
+    svc::ArtifactCache cache;
+    constexpr unsigned kThreads = 4;
+    std::atomic<unsigned> builds{0};
+    auto build = [&]() -> std::shared_ptr<const svc::Elaboration> {
+        ++builds;
+        // Hold the build open until every other lookup is waiting on
+        // it, so the test does not depend on thread timing.
+        for (int i = 0; i < 10000 &&
+                        cache.elabStats().inflightWaits < kThreads - 1;
+             ++i)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        auto e = std::make_shared<svc::Elaboration>();
+        e->contentHash = 42;
+        e->byteSize = 64;
+        return e;
+    };
+
+    std::vector<std::thread> threads;
+    std::atomic<unsigned> hits{0};
+    for (unsigned t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&] {
+            bool hit = false;
+            auto e = cache.elaboration(7, build, hit);
+            EXPECT_NE(e, nullptr);
+            EXPECT_EQ(e->contentHash, 42u);
+            hits += hit;
+        });
+    }
+    for (auto &t : threads)
+        t.join();
+
+    EXPECT_EQ(builds.load(), 1u);
+    EXPECT_EQ(hits.load(), kThreads - 1);
+    auto stats = cache.elabStats();
+    EXPECT_EQ(stats.misses, 1u);
+    EXPECT_EQ(stats.hits, kThreads - 1);
+    EXPECT_EQ(stats.inflightWaits, kThreads - 1);
+    EXPECT_EQ(stats.insertions, 1u);
+}
+
+TEST(SvcCache, FailedBuildHandsOverToNextCaller)
+{
+    svc::ArtifactCache cache;
+    bool hit = true;
+    auto failing = []() -> std::shared_ptr<const verify::Report> {
+        throw std::runtime_error("build failed");
+    };
+    EXPECT_THROW(cache.report(3, failing, hit), std::runtime_error);
+    EXPECT_FALSE(hit);
+    // Nothing was cached and nobody is left building: the next
+    // caller builds (a null artifact is not cached either).
+    auto none = [] { return std::shared_ptr<const verify::Report>(); };
+    EXPECT_EQ(cache.report(3, none, hit), nullptr);
+    auto good = [] { return std::make_shared<const verify::Report>(); };
+    EXPECT_NE(cache.report(3, good, hit), nullptr);
+    EXPECT_FALSE(hit);
+    EXPECT_NE(cache.report(3, none, hit), nullptr);
+    EXPECT_TRUE(hit);
+    EXPECT_EQ(cache.reportStats().misses, 3u);
+    EXPECT_EQ(cache.reportStats().hits, 1u);
 }
 
 // --- job runner ----------------------------------------------------
