@@ -163,8 +163,7 @@ main(int argc, char **argv)
             bench::addRunIdentity(
                 jrow, "fireaxe.bench.v1", "fault_sweep",
                 points[i].planHash, points[i].contentHash,
-                "sequential",
-                rtlsim::toString(rtlsim::defaultEvalEngine()), 0);
+                rtlsim::toString(rtlsim::defaultEvalEngine()));
             jrow.field("fault_rate", rate)
                 .field("transport", linkNames[i])
                 .field("sim_rate_mhz", points[i].simRateMhz)

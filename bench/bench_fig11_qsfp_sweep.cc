@@ -79,10 +79,9 @@ main(int argc, char **argv)
                 JsonRow row;
                 addRunIdentity(row, "fireaxe.bench.v1",
                                "fig11_qsfp_sweep", pt->planHash,
-                               pt->contentHash, "sequential",
+                               pt->contentHash,
                                rtlsim::toString(
-                                   rtlsim::defaultEvalEngine()),
-                               0);
+                                   rtlsim::defaultEvalEngine()));
                 row.field("bitstream_mhz", mhz)
                     .field("mode", pt == &exact ? "exact" : "fast")
                     .field("interface_bits", pt->interfaceBits)
@@ -114,9 +113,7 @@ main(int argc, char **argv)
         JsonRow row;
         addRunIdentity(row, "fireaxe.bench.v1", "fig11_qsfp_sweep",
                        exact.planHash, exact.contentHash,
-                       "sequential",
-                       rtlsim::toString(rtlsim::defaultEvalEngine()),
-                       0);
+                       rtlsim::toString(rtlsim::defaultEvalEngine()));
         row.field("mode", "ablation")
             .field("bitstream_mhz", 50.0)
             .field("interface_bits", exact.interfaceBits)

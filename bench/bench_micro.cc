@@ -6,12 +6,6 @@
  * throughput. These guard the host-side performance that the
  * figure-level harnesses depend on.
  *
- * `--workers N[,M,...]` switches the binary into a worker-count
- * sweep of the parallel execution backend instead: a five-partition
- * bus SoC is co-simulated once sequentially and once per requested
- * worker count, reporting wall time, speedup, and a bit-exactness
- * check per row (optionally as JSON rows via --json).
- *
  * `--engine interpret,compiled` switches it into an
  * evaluation-engine sweep instead: a set of shipped targets spanning
  * high activity (bus SoC) to long quiescent phases (Gemmini, SHA3,
@@ -142,118 +136,6 @@ BENCHMARK(BM_UarchModelInstruction);
 namespace {
 
 /**
- * Sweep the parallel backend's worker count on a five-partition bus
- * SoC (four tiles split out individually plus the rest partition)
- * and compare against the sequential baseline. Each row checks that
- * the parallel run reproduced the sequential schedule exactly
- * (target cycles and total host time).
- */
-int
-runWorkerSweep(const std::vector<unsigned> &worker_counts,
-               uint64_t cycles, const std::string &json_path)
-{
-    if (cycles == 0)
-        cycles = 2000;
-
-    target::BusSocConfig cfg;
-    cfg.numTiles = 8;
-    cfg.memWords = 256;
-    auto soc = target::buildBusSoc(cfg);
-
-    ripper::PartitionSpec spec;
-    spec.mode = ripper::PartitionMode::Exact;
-    for (int t = 0; t < 4; ++t) {
-        spec.groups.push_back({"t" + std::to_string(t),
-                               {"tile" + std::to_string(t)},
-                               1});
-    }
-    auto plan = ripper::partition(soc, spec);
-    const unsigned nparts = unsigned(plan.partitions.size());
-
-    uint64_t plan_hash = 0;
-    uint64_t content_hash = 0;
-    auto measure = [&](const platform::ExecConfig &exec,
-                       double &wall_ms) {
-        platform::MultiFpgaSim sim(
-            plan,
-            std::vector<platform::FpgaSpec>(
-                nparts, platform::alveoU250(50.0)),
-            transport::qsfpAurora());
-        sim.setExecConfig(exec);
-        sim.init();
-        plan_hash = sim.planHash();
-        content_hash = sim.contentHash();
-        auto t0 = std::chrono::steady_clock::now();
-        auto result = sim.run(cycles);
-        wall_ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
-        return result;
-    };
-
-    bench::JsonRows rows(json_path);
-    std::printf("worker sweep: bus SoC, %u partitions, %llu target "
-                "cycles\n",
-                nparts, (unsigned long long)cycles);
-    std::printf("%-12s %8s %12s %10s %9s %9s\n", "backend",
-                "workers", "host_ns", "wall_ms", "speedup",
-                "bit_exact");
-
-    double seq_wall = 0.0;
-    auto seq = measure(platform::ExecConfig{}, seq_wall);
-    std::printf("%-12s %8s %12.0f %10.2f %9s %9s\n", "sequential",
-                "-", seq.hostTimeNs, seq_wall, "1.00", "ref");
-    {
-        bench::JsonRow row;
-        bench::addRunIdentity(
-            row, "fireaxe.bench.v1", "bus_soc8", plan_hash,
-            content_hash, "sequential",
-            rtlsim::toString(rtlsim::defaultEvalEngine()), 0);
-        row.field("partitions", nparts)
-            .field("target_cycles", seq.targetCycles)
-            .field("host_time_ns", seq.hostTimeNs)
-            .field("sim_rate_mhz", seq.simRateMhz())
-            .field("wall_ms", seq_wall)
-            .field("speedup_vs_sequential", 1.0)
-            .field("bit_exact", true);
-        rows.add(row);
-    }
-
-    for (unsigned w : worker_counts) {
-        double wall = 0.0;
-        auto par = measure(platform::ExecConfig::parallel(w), wall);
-        bool exact = par.targetCycles == seq.targetCycles &&
-                     par.hostTimeNs == seq.hostTimeNs;
-        double speedup = wall > 0.0 ? seq_wall / wall : 0.0;
-        std::printf("%-12s %8u %12.0f %10.2f %9.2f %9s\n",
-                    "parallel", w, par.hostTimeNs, wall, speedup,
-                    exact ? "yes" : "NO");
-        bench::JsonRow row;
-        bench::addRunIdentity(
-            row, "fireaxe.bench.v1", "bus_soc8", plan_hash,
-            content_hash, "parallel",
-            rtlsim::toString(rtlsim::defaultEvalEngine()), w);
-        row.field("partitions", nparts)
-            .field("target_cycles", par.targetCycles)
-            .field("host_time_ns", par.hostTimeNs)
-            .field("sim_rate_mhz", par.simRateMhz())
-            .field("wall_ms", wall)
-            .field("speedup_vs_sequential", speedup)
-            .field("bit_exact", exact);
-        rows.add(row);
-        if (!exact) {
-            std::fprintf(stderr,
-                         "worker sweep: parallel run (workers=%u) "
-                         "diverged from sequential\n",
-                         w);
-            return 1;
-        }
-    }
-    rows.write();
-    return 0;
-}
-
-/**
  * FNV-1a over every partition's reached cycle and full signal table;
  * equal signatures witness bit-exact final state across a
  * snapshot/restore cut (same convention as tests/recovery_test.cc).
@@ -344,8 +226,8 @@ runSnapshotSweep(const std::vector<uint64_t> &intervals,
         bench::JsonRow row;
         bench::addRunIdentity(
             row, "fireaxe.bench.v1", "bus_soc4", plan_hash,
-            content_hash, "sequential",
-            rtlsim::toString(rtlsim::defaultEvalEngine()), 0);
+            content_hash,
+            rtlsim::toString(rtlsim::defaultEvalEngine()));
         row.field("partitions", uint64_t(nparts))
             .field("snapshot_every", uint64_t(0))
             .field("snapshot_count", uint64_t(0))
@@ -427,8 +309,8 @@ runSnapshotSweep(const std::vector<uint64_t> &intervals,
         bench::JsonRow row;
         bench::addRunIdentity(
             row, "fireaxe.bench.v1", "bus_soc4", plan_hash,
-            content_hash, "sequential",
-            rtlsim::toString(rtlsim::defaultEvalEngine()), 0);
+            content_hash,
+            rtlsim::toString(rtlsim::defaultEvalEngine()));
         row.field("partitions", uint64_t(nparts))
             .field("snapshot_every", every)
             .field("snapshot_count", snapshots)
@@ -518,8 +400,8 @@ runResumeMeasurement(const std::string &dir, uint64_t cycles,
     bench::JsonRow row;
     bench::addRunIdentity(
         row, "fireaxe.bench.v1", "bus_soc4", sim.planHash(),
-        sim.contentHash(), "sequential",
-        rtlsim::toString(rtlsim::defaultEvalEngine()), 0);
+        sim.contentHash(),
+        rtlsim::toString(rtlsim::defaultEvalEngine()));
     row.field("partitions", uint64_t(nparts))
         .field("resume_from", dir)
         .field("restore_ms", restore_ms)
@@ -600,8 +482,8 @@ runEngineSweep(const std::vector<rtlsim::EvalEngine> &engines,
                         gated, exact ? "yes" : "NO");
             bench::JsonRow row;
             bench::addRunIdentity(row, "fireaxe.bench.v1",
-                                  design.name, 0, 0, "monolithic",
-                                  rtlsim::toString(engine), 0);
+                                  design.name, 0, 0,
+                                  rtlsim::toString(engine));
             row.field("target_cycles", cycles)
                 .field("wall_ms", point.wallMs)
                 .field("cycles_per_sec", point.cyclesPerSec)
@@ -725,8 +607,8 @@ runTokenTraceSweep(const std::vector<uint64_t> &rates,
         bench::JsonRow row;
         bench::addRunIdentity(
             row, "fireaxe.bench.v1", "bus_soc4", base.planHash,
-            base.contentHash, "sequential",
-            rtlsim::toString(rtlsim::defaultEvalEngine()), 0);
+            base.contentHash,
+            rtlsim::toString(rtlsim::defaultEvalEngine()));
         row.field("partitions", uint64_t(nparts))
             .field("token_sample_every", uint64_t(0))
             .field("token_records", uint64_t(0))
@@ -759,8 +641,8 @@ runTokenTraceSweep(const std::vector<uint64_t> &rates,
         bench::JsonRow row;
         bench::addRunIdentity(
             row, "fireaxe.bench.v1", "bus_soc4", m.planHash,
-            m.contentHash, "sequential",
-            rtlsim::toString(rtlsim::defaultEvalEngine()), 0);
+            m.contentHash,
+            rtlsim::toString(rtlsim::defaultEvalEngine()));
         row.field("partitions", uint64_t(nparts))
             .field("token_sample_every",
                    uint64_t(tcfg.tokenSampleEvery))
@@ -801,24 +683,6 @@ parseEngineList(const char *arg)
     return engines;
 }
 
-std::vector<unsigned>
-parseWorkerList(const char *arg)
-{
-    std::vector<unsigned> counts;
-    std::string s(arg);
-    size_t pos = 0;
-    while (pos < s.size()) {
-        size_t comma = s.find(',', pos);
-        if (comma == std::string::npos)
-            comma = s.size();
-        counts.push_back(
-            unsigned(std::strtoul(s.substr(pos, comma - pos).c_str(),
-                                  nullptr, 10)));
-        pos = comma + 1;
-    }
-    return counts;
-}
-
 std::vector<uint64_t>
 parseIntervalList(const char *arg)
 {
@@ -841,12 +705,11 @@ parseIntervalList(const char *arg)
 int
 main(int argc, char **argv)
 {
-    // --workers selects the parallel-backend sweep, --engine the
-    // evaluation-engine sweep, --snapshot-every the snapshot-overhead
+    // --engine selects the evaluation-engine sweep, --snapshot-every
+    // the snapshot-overhead
     // sweep, --token-trace the token-tracing overhead sweep and
     // --resume-from a restore-and-finish measurement; everything
     // else is handed to google-benchmark untouched.
-    std::vector<unsigned> worker_counts;
     std::vector<rtlsim::EvalEngine> engines;
     std::vector<uint64_t> snapshot_intervals;
     std::vector<uint64_t> token_rates;
@@ -856,9 +719,7 @@ main(int argc, char **argv)
     uint64_t cycles = 0;
     std::vector<char *> rest{argv[0]};
     for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--workers") && i + 1 < argc)
-            worker_counts = parseWorkerList(argv[++i]);
-        else if (!std::strcmp(argv[i], "--engine") && i + 1 < argc)
+        if (!std::strcmp(argv[i], "--engine") && i + 1 < argc)
             engines = parseEngineList(argv[++i]);
         else if (!std::strcmp(argv[i], "--snapshot-every") &&
                  i + 1 < argc)
@@ -882,8 +743,6 @@ main(int argc, char **argv)
         else
             rest.push_back(argv[i]);
     }
-    if (!worker_counts.empty())
-        return runWorkerSweep(worker_counts, cycles, json_path);
     if (!engines.empty())
         return runEngineSweep(engines, cycles, json_path);
     if (!snapshot_intervals.empty())

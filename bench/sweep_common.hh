@@ -135,19 +135,16 @@ class JsonRow
  *                   artifact cache keys on, so rows, streams, and
  *                   cache entries for one submitted design join on
  *                   one name
- *   backend       — "sequential" / "parallel"
  *   engine        — evaluation engine name
- *   workers       — parallel worker count (0 = auto / n.a.)
- *   exec          — the same execution config as one nested object
- *                   {backend, engine, workers, batch_depth}; the
- *                   one uniform place sweep tooling reads the config
- *                   from (the flat fields stay for back-compat)
+ *   exec          — the execution config as one nested object
+ *                   {engine, batch_depth}; the one uniform place
+ *                   sweep tooling reads the config from (the flat
+ *                   engine field stays for back-compat)
  */
 inline JsonRow &
 addRunIdentity(JsonRow &row, std::string_view schema,
                std::string_view target, uint64_t plan_hash,
-               uint64_t artifact_hash, std::string_view backend,
-               std::string_view engine, unsigned workers,
+               uint64_t artifact_hash, std::string_view engine,
                // Benches pick up batching from the environment (the
                // default ExecConfig does), so the default here is the
                // same resolved value — rows stay truthful under
@@ -158,13 +155,9 @@ addRunIdentity(JsonRow &row, std::string_view schema,
         .field("target", target)
         .field("plan_hash", plan_hash)
         .field("artifact_hash", artifact_hash)
-        .field("backend", backend)
-        .field("engine", engine)
-        .field("workers", workers);
+        .field("engine", engine);
     row.beginObjectField("exec")
-        .field("backend", backend)
         .field("engine", engine)
-        .field("workers", workers)
         .field("batch_depth", batch_depth)
         .endObjectField();
     return row;

@@ -10,8 +10,6 @@ namespace fireaxe::libdn {
 void
 TokenChannel::saveCkpt(std::ostream &os) const
 {
-    FIREAXE_ASSERT(!concurrent_, "channel '", name_,
-                   "' checkpoint requires a quiesce point");
     os << "fireaxe-chan 2\n";
     os << name_ << " " << widthBits_ << " " << capacity_ << "\n";
     os << enqCount_ << " " << deqCount_ << " "
@@ -37,8 +35,6 @@ TokenChannel::saveCkpt(std::ostream &os) const
 bool
 TokenChannel::tryLoadCkpt(std::istream &is, std::string &error)
 {
-    FIREAXE_ASSERT(!concurrent_, "channel '", name_,
-                   "' restore requires a quiesce point");
     auto fail = [&](std::string msg) {
         error = "channel '" + name_ + "': " + std::move(msg);
         return false;
@@ -92,8 +88,8 @@ TokenChannel::tryLoadCkpt(std::istream &is, std::string &error)
 
     enqCount_ = enq;
     deqCount_ = deq;
-    serTime_.store(bitsToDouble(ser_b), std::memory_order_relaxed);
-    latency_.store(bitsToDouble(lat_b), std::memory_order_relaxed);
+    serTime_ = bitsToDouble(ser_b);
+    latency_ = bitsToDouble(lat_b);
     serializer_->lastDepart = bitsToDouble(depart_b);
     producerNowNs_ = bitsToDouble(pnow_b);
     consumerNowNs_ = bitsToDouble(cnow_b);

@@ -12,42 +12,16 @@
  * link-level reliability machinery (libdn::ReliableTokenChannel) can
  * interpose on delivery without the model or the executor knowing.
  *
- * Storage is a lock-free SPSC ring (par::SpscRing): each channel has
- * exactly one producing and one consuming partition, so when the
- * parallel executor (src/par) runs partitions on worker threads the
- * same queue doubles as the thread-safe token pipe — no locks on the
- * token path.
- *
- * ## Concurrent mode (enableConcurrent)
- *
- * Determinism under threads needs more than a safe queue: the
- * *producer-visible occupancy* must match what the sequential
- * executor would have seen at the same host time, or backpressure
- * (and with it serializer timing and the whole token schedule) would
- * depend on how far ahead the consumer thread happens to run. The
- * channel therefore keeps two views:
- *
- *  - the physical ring, updated eagerly by both sides;
- *  - a logical occupancy at the producer's host time `T`:
- *    producer-side push counts minus only those consumer pops whose
- *    logical timestamp precedes `T` (ties broken by partition index,
- *    exactly like the sequential event loop's tie order).
- *
- * The consumer publishes each pop as a (time, counts) record on a
- * small SPSC pop log; the producer drains records up to its own time
- * in producerPrepare()/full(). The engine guarantees by its gating
- * rules that whenever the logical view says "full", the producer
- * waits until the consumer's clock passes `T` — at which point every
- * relevant pop record has been published and the verdict is exact.
- * See DESIGN.md ("Parallel partition execution") for the full
- * argument.
+ * Storage is a bounded ring (libdn::Ring). Every channel is driven
+ * from the executor's single run thread: each channel has exactly one
+ * producing and one consuming partition, and the executor ticks one
+ * partition at a time.
  */
 
 #ifndef FIREAXE_LIBDN_CHANNEL_HH
 #define FIREAXE_LIBDN_CHANNEL_HH
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <limits>
@@ -56,8 +30,8 @@
 #include <vector>
 
 #include "base/logging.hh"
+#include "libdn/ring.hh"
 #include "obs/probe.hh"
-#include "par/spsc.hh"
 
 namespace fireaxe::libdn {
 
@@ -69,9 +43,8 @@ using Token = std::vector<uint64_t>;
  * share a physical link (e.g. the source and sink channels of an
  * exact-mode boundary, or all FAME-5 thread channels of one FPGA
  * pair) share one serializer, so their tokens contend for link
- * bandwidth. Only ever touched from the producing partition's
- * thread: all channels sharing a serializer originate from the same
- * partition.
+ * bandwidth. All channels sharing a serializer originate from the
+ * same partition.
  */
 struct LinkSerializer
 {
@@ -97,15 +70,7 @@ class TokenChannel
      *  serialization cost on the inter-FPGA link. */
     unsigned widthBits() const { return widthBits_; }
 
-    virtual bool
-    full() const
-    {
-        if (concurrent_) {
-            drainPopLog(producerNowNs_);
-            return enqCount_ - accQueuePops_ >= capacity_;
-        }
-        return queue_.size() >= capacity_;
-    }
+    virtual bool full() const { return queue_.size() >= capacity_; }
 
     virtual bool empty() const { return queue_.empty(); }
     virtual size_t size() const { return queue_.size(); }
@@ -127,8 +92,8 @@ class TokenChannel
     setTiming(double ser_time, double latency,
               std::shared_ptr<LinkSerializer> serializer = nullptr)
     {
-        serTime_.store(ser_time, std::memory_order_relaxed);
-        latency_.store(latency, std::memory_order_relaxed);
+        serTime_ = ser_time;
+        latency_ = latency;
         serializer_ = serializer
                           ? std::move(serializer)
                           : std::make_shared<LinkSerializer>();
@@ -161,19 +126,13 @@ class TokenChannel
     {
         FIREAXE_ASSERT(depth >= 1, "channel '", name_,
                        "': batch depth must be >= 1");
-        batchDepth_.store(depth, std::memory_order_relaxed);
-        payloadSerNs_.store(payload_ser_ns,
-                            std::memory_order_relaxed);
-        frameOverheadNs_.store(frame_overhead_ns,
-                               std::memory_order_relaxed);
+        batchDepth_ = depth;
+        payloadSerNs_ = payload_ser_ns;
+        frameOverheadNs_ = frame_overhead_ns;
         pipelined_ = pipelined;
     }
 
-    unsigned
-    batchDepth() const
-    {
-        return batchDepth_.load(std::memory_order_relaxed);
-    }
+    unsigned batchDepth() const { return batchDepth_; }
 
     bool pipelinedEpochs() const { return pipelined_; }
 
@@ -183,9 +142,7 @@ class TokenChannel
      * still fail on occupancy — see full()). False only while a
      * stop-and-wait epoch stall is pending: batching enabled,
      * pipelined epochs off, at an epoch boundary, and the previous
-     * frame has not landed yet. Producer-side state only — must be
-     * called from the producing partition's thread, like
-     * tryEnqTimed().
+     * frame has not landed yet. Producer-side state only.
      */
     bool
     writableAt(double now) const
@@ -199,11 +156,7 @@ class TokenChannel
     double stallUntil() const { return stallUntil_; }
 
     /** Payload-only serialization of one token within a frame. */
-    double
-    payloadSerNs() const
-    {
-        return payloadSerNs_.load(std::memory_order_relaxed);
-    }
+    double payloadSerNs() const { return payloadSerNs_; }
 
     /** Link occupancy of one transmission unit: a whole frame when
      *  batching, one token otherwise. */
@@ -213,21 +166,11 @@ class TokenChannel
         unsigned depth = batchDepth();
         if (depth <= 1)
             return serTime();
-        return frameOverheadNs_.load(std::memory_order_relaxed) +
-               double(depth) * payloadSerNs();
+        return frameOverheadNs_ + double(depth) * payloadSerNs();
     }
 
-    double
-    serTime() const
-    {
-        return serTime_.load(std::memory_order_relaxed);
-    }
-
-    double
-    latency() const
-    {
-        return latency_.load(std::memory_order_relaxed);
-    }
+    double serTime() const { return serTime_; }
+    double latency() const { return latency_; }
 
     /**
      * Attach a telemetry probe (owned by the caller, may be null to
@@ -237,65 +180,6 @@ class TokenChannel
      */
     void setProbe(obs::ChannelProbe *probe) { probe_ = probe; }
     obs::ChannelProbe *probe() const { return probe_; }
-
-    // --- concurrent (parallel-executor) mode ----------------------
-
-    /**
-     * Switch the channel into concurrent mode for the parallel
-     * executor: producer-side occupancy becomes the logical
-     * (pop-log-accounted) view described in the file comment. Must be
-     * called while no worker threads touch the channel.
-     *
-     * @p producer_part / @p consumer_part give the partition indices
-     * of the two sides, fixing the sequential tie order for pops at
-     * equal host times. @p pop_log_capacity bounds the pop log; the
-     * caller derives it from the channel's lookahead window (the
-     * consumer can run at most `lookahead` ns of host time ahead of
-     * the producer, bounding unconsumed pop records).
-     */
-    virtual void
-    enableConcurrent(int producer_part, int consumer_part,
-                     size_t pop_log_capacity)
-    {
-        concurrent_ = true;
-        consumerTicksFirstOnTie_ = consumer_part < producer_part;
-        popLog_ = std::make_unique<par::SpscRing<PopRecord>>(
-            pop_log_capacity);
-        // Re-anchor the logical view to the quiesced physical state.
-        accQueuePops_ = enqCount_ - queue_.size();
-        accRtxPops_ = 0;
-    }
-
-    /**
-     * Leave concurrent mode (after the workers joined): fold every
-     * outstanding pop record into the accounting so a later
-     * sequential run sees consistent physical occupancy.
-     */
-    virtual void
-    disableConcurrent()
-    {
-        if (!concurrent_)
-            return;
-        drainPopLog(std::numeric_limits<double>::infinity());
-        concurrent_ = false;
-        popLog_.reset();
-    }
-
-    bool concurrent() const { return concurrent_; }
-
-    /**
-     * Producer-side synchronization point, called by the parallel
-     * engine before the producing partition evaluates a host tick at
-     * time @p now: folds all sequentially-preceding consumer pops
-     * into the occupancy accounting. Returns full() so the engine can
-     * gate on logical backpressure.
-     */
-    bool
-    producerPrepare(double now)
-    {
-        producerNowNs_ = std::max(producerNowNs_, now);
-        return full();
-    }
 
     /**
      * Try to enqueue a token that becomes visible at host time
@@ -312,7 +196,7 @@ class TokenChannel
         queue_.pushBack({std::move(token), ready_time, ready_time});
         ++enqCount_;
         if (probe_ && probe_->countsTokens())
-            probe_->onEnqueue(ready_time, producerOccupancy());
+            probe_->onEnqueue(ready_time, queue_.size());
         return true;
     }
 
@@ -364,7 +248,7 @@ class TokenChannel
             ++enqCount_;
             if (probe_) {
                 if (probe_->countsTokens())
-                    probe_->onEnqueue(now, producerOccupancy());
+                    probe_->onEnqueue(now, queue_.size());
                 if (probe_->tokenSampled(enqCount_)) {
                     probe_->onTokenEnqueue(enqCount_, now, depart,
                                            ready, ready - depart,
@@ -380,7 +264,7 @@ class TokenChannel
         ++enqCount_;
         if (probe_) {
             if (probe_->countsTokens())
-                probe_->onEnqueue(now, producerOccupancy());
+                probe_->onEnqueue(now, queue_.size());
             if (probe_->tokenSampled(enqCount_)) {
                 probe_->onTokenEnqueue(enqCount_, now, depart,
                                        depart + latency(),
@@ -443,8 +327,6 @@ class TokenChannel
                        "' deq of empty queue");
         queue_.popFront();
         ++deqCount_;
-        if (concurrent_)
-            logPops(consumerNowNs_, 1, 0);
     }
 
     /** Consumer side: advance the consumer's host-time clock to
@@ -497,7 +379,7 @@ class TokenChannel
      * Serialize the channel's full state — queued tokens with their
      * host-time stamps, lifetime counters, link timing and the
      * shared serializer's departure clock — to a stream. Only legal
-     * at a quiesce point (not in concurrent mode).
+     * at a quiesce point (between run() calls).
      */
     virtual void saveCkpt(std::ostream &os) const;
 
@@ -518,96 +400,34 @@ class TokenChannel
         double enqTime = 0.0;
     };
 
-    /** One consumer pop event, published for producer accounting. */
-    struct PopRecord
-    {
-        double timeNs = 0.0;      ///< logical (host) time of the pop
-        uint32_t queuePops = 0;   ///< delivered-queue entries removed
-        uint32_t rtxPops = 0;     ///< retransmit-buffer entries acked
-    };
-
-    /** Producer side: account every pop that sequentially precedes
-     *  host time @p now (ties by the partition-index order fixed at
-     *  enableConcurrent). Records are time-monotone, so this is a
-     *  prefix drain. */
-    void
-    drainPopLog(double now) const
-    {
-        while (!popLog_->empty()) {
-            const PopRecord &rec = popLog_->front();
-            if (rec.timeNs > now ||
-                (rec.timeNs == now && !consumerTicksFirstOnTie_)) {
-                break;
-            }
-            accQueuePops_ += rec.queuePops;
-            accRtxPops_ += rec.rtxPops;
-            popLog_->popFront();
-        }
-    }
-
-    /** Consumer side: publish a pop at logical time @p now. */
-    void
-    logPops(double now, uint32_t queue_pops, uint32_t rtx_pops) const
-    {
-        popLog_->pushBack({now, queue_pops, rtx_pops});
-    }
-
-    /** Queue depth as deterministically seen by the producer (used
-     *  for occupancy telemetry; logical in concurrent mode so the
-     *  samples don't depend on thread interleaving). */
-    size_t
-    producerOccupancy() const
-    {
-        if (concurrent_)
-            return size_t(enqCount_ - accQueuePops_);
-        return queue_.size();
-    }
-
     std::string name_;
     unsigned widthBits_;
     size_t capacity_;
-    par::SpscRing<Entry> queue_;
+    Ring<Entry> queue_;
     uint64_t enqCount_ = 0;
     uint64_t deqCount_ = 0;
-    // Atomic because failover() retimes the channel from the
-    // producer's worker thread while the consumer reads the values
-    // for recovery timing.
-    std::atomic<double> serTime_{0.0};
-    std::atomic<double> latency_{0.0};
+    double serTime_ = 0.0;
+    double latency_ = 0.0;
     obs::ChannelProbe *probe_ = nullptr;
     std::shared_ptr<LinkSerializer> serializer_ =
         std::make_shared<LinkSerializer>();
 
     // --- depth-N batching state (configureBatching) ---------------
-    // Timing fields are atomic for the same reason serTime_ is:
-    // failover() reverts batching from the producer's worker thread
-    // while the consumer reads frameSerNs() for recovery timing.
-    std::atomic<unsigned> batchDepth_{1};
-    std::atomic<double> payloadSerNs_{0.0};
-    std::atomic<double> frameOverheadNs_{0.0};
-    /** Producer-only (tryEnqTimed). */
+    unsigned batchDepth_ = 1;
+    double payloadSerNs_ = 0.0;
+    double frameOverheadNs_ = 0.0;
     bool pipelined_ = true;
-    /** Position of the next enqueue within the current epoch
-     *  (producer-only). */
+    /** Position of the next enqueue within the current epoch. */
     uint64_t batchPos_ = 0;
     /** Stop-and-wait horizon (pipelined epochs off): delivery time
-     *  of the last boundary frame (producer-only). */
+     *  of the last boundary frame. */
     double stallUntil_ = 0.0;
 
-    // --- concurrent-mode state ------------------------------------
-    bool concurrent_ = false;
-    /** Consumer's tick precedes the producer's at equal host time
-     *  (lower partition index ticks first, like the sequential event
-     *  loop). */
-    bool consumerTicksFirstOnTie_ = false;
-    std::unique_ptr<par::SpscRing<PopRecord>> popLog_;
-    /** Producer's current host time (drain horizon). */
-    mutable double producerNowNs_ = 0.0;
-    /** Consumer's current host time (pop timestamping). */
+    // Latest producer / consumer host times seen by the channel.
+    // Neither drives the token schedule; both are part of the
+    // checkpoint stream, which keeps its format.
+    double producerNowNs_ = 0.0;
     mutable double consumerNowNs_ = 0.0;
-    /** Producer-side cumulative pops folded in from the log. */
-    mutable uint64_t accQueuePops_ = 0;
-    mutable uint64_t accRtxPops_ = 0;
 };
 
 using ChannelPtr = std::shared_ptr<TokenChannel>;

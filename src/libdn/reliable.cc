@@ -90,7 +90,7 @@ ReliableTokenChannel::effWindow() const
 transport::FaultEvent
 ReliableTokenChannel::drawFault(Rng &rng) const
 {
-    if (!faultsActive_.load(std::memory_order_relaxed))
+    if (!faultsActive_)
         return {};
     return faults_.draw(rng, widthBits_ ? widthBits_ : 1);
 }
@@ -98,34 +98,8 @@ ReliableTokenChannel::drawFault(Rng &rng) const
 bool
 ReliableTokenChannel::full() const
 {
-    if (concurrent_) {
-        drainPopLog(producerNowNs_);
-        return qPushes2_ - accQueuePops_ >= capacity_ ||
-               enqCount2_ - accRtxPops_ >= effWindow();
-    }
     return queue2_.size() >= capacity_ ||
            rtxBuf_.size() >= effWindow();
-}
-
-size_t
-ReliableTokenChannel::relOccupancy() const
-{
-    if (concurrent_)
-        return size_t(qPushes2_ - accQueuePops_);
-    return queue2_.size();
-}
-
-void
-ReliableTokenChannel::enableConcurrent(int producer_part,
-                                       int consumer_part,
-                                       size_t pop_log_capacity)
-{
-    TokenChannel::enableConcurrent(producer_part, consumer_part,
-                                   pop_log_capacity);
-    // Re-anchor the logical occupancy to this subclass's physical
-    // queues (the base anchored to its own unused queue_).
-    accQueuePops_ = qPushes2_ - queue2_.size();
-    accRtxPops_ = enqCount2_ - rtxBuf_.size();
 }
 
 bool
@@ -152,7 +126,7 @@ ReliableTokenChannel::tryEnq(Token &token, double ready_time)
     ++enqCount2_;
     ++qPushes2_;
     if (probe_ && probe_->countsTokens())
-        probe_->onEnqueue(ready_time, relOccupancy());
+        probe_->onEnqueue(ready_time, queue2_.size());
     return true;
 }
 
@@ -191,7 +165,7 @@ ReliableTokenChannel::tryEnqTimed(Token &token, double now)
         ++qPushes2_;
         if (probe_) {
             if (probe_->countsTokens())
-                probe_->onEnqueue(now, relOccupancy());
+                probe_->onEnqueue(now, queue2_.size());
             if (probe_->tokenSampled(seq))
                 probe_->onTokenEnqueue(seq, now, ready, ready, 0.0,
                                        0.0);
@@ -237,7 +211,7 @@ ReliableTokenChannel::tryEnqTimed(Token &token, double now)
             txStats_.add("retry_budget_exhausted");
             if (probe_)
                 probe_->onEvent("retry_exhausted", now);
-            failed_.store(true, std::memory_order_relaxed);
+            failed_ = true;
             break;
         }
         penalty += effTimeoutNs() *
@@ -283,7 +257,7 @@ ReliableTokenChannel::tryEnqTimed(Token &token, double now)
     }
     if (probe_) {
         if (probe_->countsTokens())
-            probe_->onEnqueue(now, relOccupancy());
+            probe_->onEnqueue(now, queue2_.size());
         if (probe_->tokenSampled(seq)) {
             probe_->onTokenEnqueue(seq, now, depart,
                                    depart + latency() + penalty,
@@ -312,8 +286,6 @@ ReliableTokenChannel::poll(double now) const
             if (probe_)
                 probe_->onEvent("duplicate_discarded", now);
             queue2_.popFront();
-            if (concurrent_)
-                logPops(now, 1, 0);
             continue;
         }
         if (!e.verified) {
@@ -327,8 +299,6 @@ ReliableTokenChannel::poll(double now) const
                 }
                 uint64_t seq = e.seq;
                 queue2_.popFront();
-                // Pop + pushFront below net to zero occupancy —
-                // nothing to publish to the producer.
                 scheduleRetransmit(seq, now);
                 continue;
             }
@@ -378,7 +348,7 @@ ReliableTokenChannel::scheduleRetransmit(uint64_t seq,
             rxStats_.add("retry_budget_exhausted");
             if (probe_)
                 probe_->onEvent("retry_exhausted", now);
-            failed_.store(true, std::memory_order_relaxed);
+            failed_ = true;
             break;
         }
         delay += effTimeoutNs() *
@@ -438,12 +408,9 @@ ReliableTokenChannel::deq()
         // restart: the physical queue and the producer's retransmit
         // buffer already account for it (its seq precedes the
         // rolled-forward acknowledgment horizon), so only the
-        // consumer's delivery counters move — and nothing is
-        // published to the producer's pop accounting.
+        // consumer's delivery counters move.
         RelEntry e = std::move(replayFront_.front());
         replayFront_.pop_front();
-        replayFrontSize_.store(replayFront_.size(),
-                               std::memory_order_release);
         lastDelivered_ = e.seq;
         ++deqCount2_;
         logDelivered(e);
@@ -459,14 +426,9 @@ ReliableTokenChannel::deq()
     ++deqCount2_;
     // Delivery is the in-process acknowledgment: retire the
     // producer-side copies up to the delivered sequence number.
-    uint32_t rtx_pops = 0;
     while (!rtxBuf_.empty() &&
-           rtxBuf_.front().seq <= lastDelivered_) {
+           rtxBuf_.front().seq <= lastDelivered_)
         rtxBuf_.popFront();
-        ++rtx_pops;
-    }
-    if (concurrent_)
-        logPops(consumerNowNs_, 1, rtx_pops);
 }
 
 void
@@ -492,8 +454,6 @@ ReliableTokenChannel::replayFromLog(uint64_t cut_deq_count,
                                     uint64_t cut_last_delivered,
                                     std::string &error)
 {
-    FIREAXE_ASSERT(!concurrent_, "channel '", name_,
-                   "' replayFromLog requires a quiesce point");
     if (!replayFront_.empty()) {
         error = "channel '" + name_ +
                 "': a replay is already in progress";
@@ -520,8 +480,6 @@ ReliableTokenChannel::replayFromLog(uint64_t cut_deq_count,
         replayFront_.push_front(std::move(replayLog_.back()));
         replayLog_.pop_back();
     }
-    replayFrontSize_.store(replayFront_.size(),
-                           std::memory_order_release);
     deqCount2_ = cut_deq_count;
     lastDelivered_ = cut_last_delivered;
     error.clear();
@@ -535,11 +493,11 @@ ReliableTokenChannel::failover(double ser_time, double latency)
     // The fallback transport has no epoch-batching gateware: revert
     // to per-token transmission. Tokens already stamped keep their
     // ready times; future enqueues pay the per-token cost.
-    batchDepth_.store(1, std::memory_order_relaxed);
+    batchDepth_ = 1;
     batchPos_ = 0;
     stallUntil_ = 0.0;
-    faultsActive_.store(false, std::memory_order_relaxed);
-    failed_.store(false, std::memory_order_relaxed);
+    faultsActive_ = false;
+    failed_ = false;
     txStats_.add("failovers");
 }
 
@@ -592,9 +550,8 @@ ReliableTokenChannel::saveCkpt(std::ostream &os) const
     os << "fireaxe-relchan 1\n";
     os << nextSeq_ << " " << lastDelivered_ << " " << enqCount2_
        << " " << deqCount2_ << " " << qPushes2_ << " "
-       << (failed_.load(std::memory_order_relaxed) ? 1 : 0) << " "
-       << (faultsActive_.load(std::memory_order_relaxed) ? 1 : 0)
-       << " " << suppress_ << " " << replayCap_ << "\n";
+       << (failed_ ? 1 : 0) << " " << (faultsActive_ ? 1 : 0) << " "
+       << suppress_ << " " << replayCap_ << "\n";
     os << nak_.pendingSeq << " " << doubleBits(nak_.resendReadyNs)
        << " " << nak_.backoffTries << " "
        << doubleBits(nak_.backoffNs) << "\n";
@@ -717,9 +674,8 @@ ReliableTokenChannel::tryLoadCkpt(std::istream &is,
     qPushes2_ = pushes2;
     suppress_ = suppress;
     replayCap_ = replay_cap;
-    failed_.store(failed != 0, std::memory_order_relaxed);
-    faultsActive_.store(faults_active != 0,
-                        std::memory_order_relaxed);
+    failed_ = failed != 0;
+    faultsActive_ = faults_active != 0;
     nak_ = nak;
     txRng_ = tx_rng;
     rxRng_ = rx_rng;
@@ -736,7 +692,6 @@ ReliableTokenChannel::tryLoadCkpt(std::istream &is,
     // Restart-replay state is transient and never part of a durable
     // cut: a restore starts with a clean replay pipeline.
     replayFront_.clear();
-    replayFrontSize_.store(0, std::memory_order_relaxed);
     replayLog_.clear();
     error.clear();
     return true;

@@ -26,18 +26,15 @@
  * what keeps a partitioned run bit-matching the monolithic reference
  * with only the simulation rate degrading.
  *
- * ## Threading
+ * ## Side ownership
  *
- * Like the base channel, the reliable channel is a strict SPSC
- * structure under the parallel executor: tryEnqTimed() and
- * failover() run on the producing partition's worker; poll(),
- * scheduleRetransmit() and deq() on the consuming partition's. State
- * is partitioned accordingly — the producer and consumer each own a
- * fault-RNG substream (so the fault schedule is independent of
- * interleaving; see transport::FaultModel::channelRng) and a counter
- * set (merged on demand by stats()); the delivered queue and the
- * retransmit buffer are SPSC rings; cross-thread flags (link failed,
- * faults active) and the link timing are atomics.
+ * Each channel has one producing and one consuming partition:
+ * tryEnqTimed() and failover() act for the producer; poll(),
+ * scheduleRetransmit() and deq() for the consumer. Each side draws
+ * faults from its own RNG substream (see
+ * transport::FaultModel::channelRng) and counts into its own counter
+ * set (merged on demand by stats()), so the fault schedule of one
+ * side never depends on how often the other side polls.
  */
 
 #ifndef FIREAXE_LIBDN_RELIABLE_HH
@@ -93,15 +90,12 @@ class ReliableTokenChannel : public TokenChannel
     bool
     empty() const override
     {
-        return replayFrontSize_.load(std::memory_order_acquire) ==
-                   0 &&
-               queue2_.empty();
+        return replayFront_.empty() && queue2_.empty();
     }
     size_t
     size() const override
     {
-        return replayFrontSize_.load(std::memory_order_acquire) +
-               queue2_.size();
+        return replayFront_.size() + queue2_.size();
     }
     bool tryEnq(Token &token, double ready_time) override;
     bool tryEnqTimed(Token &token, double now) override;
@@ -112,8 +106,6 @@ class ReliableTokenChannel : public TokenChannel
     void deq() override;
     uint64_t tokensEnqueued() const override { return enqCount2_; }
     uint64_t tokensRetired() const override { return deqCount2_; }
-    void enableConcurrent(int producer_part, int consumer_part,
-                          size_t pop_log_capacity) override;
 
     // --- reliability introspection --------------------------------
     /** Reliability / fault counters (merged producer+consumer view):
@@ -121,17 +113,13 @@ class ReliableTokenChannel : public TokenChannel
      *  link_stalls, stall_ns_total, crc_errors, naks,
      *  duplicates_discarded, retransmits, retransmits_timeout,
      *  retransmits_nak, retry_budget_exhausted, failovers.
-     *  Returned by value: the two sides' counter sets are owned by
-     *  different worker threads and merged into a snapshot here. */
+     *  Returned by value: the two sides' counter sets are merged
+     *  into a fresh set here. */
     CounterSet stats() const;
 
     /** A token exhausted its retry budget; the executor should fail
      *  the channel over to a fallback transport. */
-    bool
-    linkFailed() const
-    {
-        return failed_.load(std::memory_order_relaxed);
-    }
+    bool linkFailed() const { return failed_; }
 
     /**
      * Mid-run graceful degradation: retime the channel onto a
@@ -248,9 +236,6 @@ class ReliableTokenChannel : public TokenChannel
     /** NAK path: requeue seq's pristine copy from the retransmit
      *  buffer, charging recovery latency and backoff. */
     void scheduleRetransmit(uint64_t seq, double now) const;
-    /** Delivered-queue depth as deterministically seen by the
-     *  producer (logical in concurrent mode). */
-    size_t relOccupancy() const;
     /** Append one delivered token to the bounded replay log. */
     void logDelivered(const RelEntry &e) const;
 
@@ -260,10 +245,10 @@ class ReliableTokenChannel : public TokenChannel
     mutable Rng txRng_;
     /** Consumer-side fault stream (NAK-driven resends). */
     mutable Rng rxRng_;
-    mutable std::atomic<bool> faultsActive_;
+    bool faultsActive_;
 
-    mutable par::SpscRing<RelEntry> queue2_; ///< in-flight+delivered
-    mutable par::SpscRing<RelEntry> rtxBuf_; ///< unacked copies
+    mutable Ring<RelEntry> queue2_; ///< in-flight+delivered
+    mutable Ring<RelEntry> rtxBuf_; ///< unacked copies
     uint64_t nextSeq_ = 1;
     mutable uint64_t lastDelivered_ = 0;
     uint64_t enqCount2_ = 0;
@@ -271,20 +256,16 @@ class ReliableTokenChannel : public TokenChannel
     /** Physical pushes into queue2_ (producer side; counts link-layer
      *  duplicates, unlike enqCount2_). */
     uint64_t qPushes2_ = 0;
-    mutable std::atomic<bool> failed_{false};
+    mutable bool failed_ = false;
     mutable CounterSet txStats_;
     mutable CounterSet rxStats_;
     /** Consumer-side NAK recovery in flight (see NakRecovery). */
     mutable NakRecovery nak_;
 
     // --- single-partition restart state ---------------------------
-    // All consumer-side except suppress_ (producer-side); both are
-    // SPSC-clean under the parallel engine.
+    // All consumer-side except suppress_ (producer-side).
     /** Replayed deliveries served ahead of queue2_ (restart). */
     mutable std::deque<RelEntry> replayFront_;
-    /** Mirror of replayFront_.size() for cross-thread size()
-     *  queries (the deque itself is consumer-owned). */
-    mutable std::atomic<size_t> replayFrontSize_{0};
     /** Last replayCap_ delivered tokens, newest at the back. */
     mutable std::deque<RelEntry> replayLog_;
     size_t replayCap_ = 0;

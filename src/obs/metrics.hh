@@ -39,12 +39,13 @@
 
 namespace fireaxe::obs {
 
-// Metric handles are updated concurrently by the parallel executor's
-// worker threads: counters and gauges are single atomics (relaxed —
-// they are statistics, not synchronization), histograms take a short
-// internal lock per sample. Handles are therefore neither copyable
-// nor movable; the registry's node-based map keeps their addresses
-// stable for the lifetime of the registry.
+// A registry may be shared between threads (the service's worker
+// pool), so metric handles are thread-safe: counters and gauges are
+// single atomics (relaxed — they are statistics, not
+// synchronization), histograms take a short internal lock per
+// sample. Handles are therefore neither copyable nor movable; the
+// registry's node-based map keeps their addresses stable for the
+// lifetime of the registry.
 
 /** Monotonic integer metric. */
 class Counter

@@ -117,8 +117,7 @@ class ChannelProbe
     Histogram *occupancy_ = nullptr;
     /** Lazily resolved per-kind event counters (the kind set is
      *  small and stable, so this map stays tiny). Guarded by a
-     *  mutex: both sides of the channel report events, and under the
-     *  parallel executor they run on different worker threads. */
+     *  mutex, like every shared registry path. */
     std::mutex eventMtx_;
     std::map<std::string, Counter *> eventCounters_;
 };

@@ -113,12 +113,15 @@ StreamWriter::writeHeader(const StreamRunInfo &info)
     w.value(info.planHash);
     w.key("artifact_hash");
     w.value(info.artifactHash);
+    // "backend" and "workers" are fixed since the parallel backend
+    // was removed. They stay so fireaxe.stream.v1 headers keep their
+    // bytes, which recorded stream hashes (tests/fixtures) pin.
     w.key("backend");
-    w.value(info.backend);
+    w.value("sequential");
     w.key("engine");
     w.value(info.engine);
     w.key("workers");
-    w.value(uint64_t(info.workers));
+    w.value(uint64_t(0));
     w.key("batch_depth");
     w.value(uint64_t(info.batchDepth));
     w.key("sample_every");

@@ -27,10 +27,10 @@
  * counted — long runs stream completed records out periodically
  * (StreamWriter below) so the bound is never hit in practice.
  *
- * Thread safety: hooks fire from both sides of a channel, which under
- * the parallel executor are two different worker threads; every hook
- * takes a short internal lock. Sampling keeps the rate low (default
- * 1-in-64), so contention is negligible.
+ * Thread safety: every hook and drain takes a short internal lock, so
+ * a collector may be drained from a thread other than the one running
+ * the simulation. Sampling keeps the rate low (default 1-in-64), so
+ * the lock costs little.
  */
 
 #ifndef FIREAXE_OBS_TOKENTRACE_HH
@@ -198,9 +198,7 @@ struct StreamRunInfo
     /** Design+plan content hash (platform::contentHash) — the same
      *  64-bit identity bench rows and the service cache key on. */
     uint64_t artifactHash = 0;
-    std::string backend;
     std::string engine;
-    unsigned workers = 0;
     /** Requested token batch depth (ExecConfig::batchDepth); 1 =
      *  classic per-cycle tokens. */
     unsigned batchDepth = 1;

@@ -21,8 +21,7 @@
  * about://tracing and https://ui.perfetto.dev: partitions map to
  * pids (named via process-name metadata), timestamps to microseconds.
  *
- * The tracer is safe under concurrent emitters (the parallel
- * executor's partition workers all trace into one ring): every
+ * The tracer is safe under concurrent emitters and exporters: every
  * emit/export path takes a short internal lock. Tracing is off the
  * hot path by default and a bounded ring keeps the critical section
  * to a slot assignment, so contention only matters at pathological

@@ -15,7 +15,6 @@
 #include "analyze/batching.hh"
 #include "base/logging.hh"
 #include "base/serial.hh"
-#include "par/engine.hh"
 #include "passes/flatten.hh"
 #include "recovery/snapshot.hh"
 #include "rtlsim/simulator.hh"
@@ -343,9 +342,7 @@ MultiFpgaSim::init()
 void
 MultiFpgaSim::setupTelemetry()
 {
-    // PartTelemetry holds atomics, so build the vector in place
-    // rather than copy-assigning from a prototype.
-    partTel_ = std::vector<PartTelemetry>(models_.size());
+    partTel_.assign(models_.size(), PartTelemetry{});
     obs::MetricsRegistry *reg = telemetry_->registry();
     obs::Tracer *tr = telemetry_->tracer();
 
@@ -397,12 +394,7 @@ MultiFpgaSim::setupTelemetry()
             info.runLabel = cfg.runLabel;
             info.planHash = planHash();
             info.artifactHash = contentHash();
-            info.backend =
-                execConfig_.backend == ExecBackend::Parallel
-                    ? "parallel"
-                    : "sequential";
             info.engine = rtlsim::toString(execConfig_.evalEngine);
-            info.workers = execConfig_.workers;
             info.batchDepth = execConfig_.batchDepth;
             info.sampleEvery = tt ? tt->sampleEvery() : 1;
             info.partitions = plan_.partitionNames;
@@ -421,10 +413,8 @@ MultiFpgaSim::telemetryTick(size_t p, double now, double step,
     // FAME-5: an advancing multi-threaded partition burns N host
     // cycles for the target cycle; a stalled or merely-firing tick
     // burns one.
-    pt.hostCycles.fetch_add(advanced ? plan_.fame5Threads[p] : 1,
-                            std::memory_order_relaxed);
-    pt.targetCycles.store(models_[p]->minTargetCycle(),
-                          std::memory_order_relaxed);
+    pt.hostCycles += advanced ? plan_.fame5Threads[p] : 1;
+    pt.targetCycles = models_[p]->minTargetCycle();
 
     obs::Tracer *tr = telemetry_->tracer();
     if (!progress) {
@@ -460,42 +450,28 @@ MultiFpgaSim::sampleFmr(size_t p, double now)
 {
     obs::MetricsRegistry *reg = telemetry_->registry();
     PartTelemetry &pt = partTel_[p];
-    uint64_t cycles = pt.targetCycles.load(std::memory_order_relaxed);
-    uint64_t host = pt.hostCycles.load(std::memory_order_relaxed);
-    uint64_t dt = cycles - pt.lastSampleTargetCycles;
-    uint64_t dh = host - pt.lastSampleHostCycles;
+    uint64_t dt = pt.targetCycles - pt.lastSampleTargetCycles;
+    uint64_t dh = pt.hostCycles - pt.lastSampleHostCycles;
     if (dt > 0) {
         double fmr = double(dh) / double(dt);
         pt.fmrGauge->set(fmr);
         pt.fmrHist->observe(fmr);
-        pt.lastSampleTargetCycles = cycles;
-        pt.lastSampleHostCycles = host;
+        pt.lastSampleTargetCycles = pt.targetCycles;
+        pt.lastSampleHostCycles = pt.hostCycles;
     }
     if (now > 0.0) {
-        // Aggregate over the published per-partition cycle counts —
-        // other partitions' models may be mid-tick on their own
-        // workers. The gauge is a running estimate; the exact final
-        // value is set by finalizeTelemetry.
-        uint64_t min_cycles =
-            partTel_[0].targetCycles.load(std::memory_order_relaxed);
-        for (const auto &tel : partTel_)
-            min_cycles = std::min(
-                min_cycles,
-                tel.targetCycles.load(std::memory_order_relaxed));
+        // A running estimate over the per-partition cycle counts of
+        // the last telemetry ticks; finalizeTelemetry sets the exact
+        // final value.
         reg->gauge("sim.sim_rate_mhz")
-            .set(double(min_cycles) / now * 1000.0);
+            .set(double(minTelemetryCycle()) / now * 1000.0);
     }
 }
 
 void
 MultiFpgaSim::reportProgress(double now, uint64_t target_cycles)
 {
-    uint64_t min_cycles =
-        partTel_[0].targetCycles.load(std::memory_order_relaxed);
-    for (const auto &tel : partTel_)
-        min_cycles = std::min(
-            min_cycles,
-            tel.targetCycles.load(std::memory_order_relaxed));
+    uint64_t min_cycles = minTelemetryCycle();
     double pct = target_cycles
                      ? 100.0 * double(min_cycles) / double(target_cycles)
                      : 0.0;
@@ -506,12 +482,9 @@ MultiFpgaSim::reportProgress(double now, uint64_t target_cycles)
     double fmr_sum = 0.0;
     int fmr_n = 0;
     for (size_t p = 0; p < models_.size(); ++p) {
-        uint64_t cycles = partTel_[p].targetCycles.load(
-            std::memory_order_relaxed);
-        if (cycles > 0) {
-            fmr_sum += double(partTel_[p].hostCycles.load(
-                           std::memory_order_relaxed)) /
-                       double(cycles);
+        const PartTelemetry &pt = partTel_[p];
+        if (pt.targetCycles > 0) {
+            fmr_sum += double(pt.hostCycles) / double(pt.targetCycles);
             ++fmr_n;
         }
     }
@@ -571,8 +544,7 @@ MultiFpgaSim::finalizeTelemetry(RunResult &result, double now)
             double(models_[p]->totalFires()));
         reg->gauge(base + "advances").set(
             double(models_[p]->totalAdvances()));
-        uint64_t host =
-            pt.hostCycles.load(std::memory_order_relaxed);
+        uint64_t host = pt.hostCycles;
         reg->gauge(base + "host_cycles").set(double(host));
         reg->gauge(base + "wait_ns").set(pt.waitNs);
         // Activity-gating effectiveness of the partition's target
@@ -592,7 +564,7 @@ MultiFpgaSim::finalizeTelemetry(RunResult &result, double now)
     reg->gauge("sim.transient_stall_events")
         .set(double(transientStallEvents_));
     reg->gauge("sim.link_failovers")
-        .set(double(linkFailovers_.load(std::memory_order_relaxed)));
+        .set(double(linkFailovers_));
     reg->gauge("sim.deadlocked").set(result.deadlocked ? 1.0 : 0.0);
 
     // Dropped-record accounting: publish the lifetime drop totals as
@@ -640,14 +612,7 @@ MultiFpgaSim::streamFlush(double now)
 {
     if (!stream_)
         return;
-    uint64_t cycle = 0;
-    if (!partTel_.empty()) {
-        cycle = partTel_[0].targetCycles.load(
-            std::memory_order_relaxed);
-        for (const auto &pt : partTel_)
-            cycle = std::min(cycle, pt.targetCycles.load(
-                                        std::memory_order_relaxed));
-    }
+    uint64_t cycle = partTel_.empty() ? 0 : minTelemetryCycle();
     if (obs::TokenTraceCollector *tt = telemetry_->tokenTrace()) {
         std::vector<obs::TokenRecord> records = tt->drainFired();
         streamedTokenRecords_ += records.size();
@@ -662,16 +627,21 @@ MultiFpgaSim::streamDue()
 {
     if (!stream_ || streamEveryCycles_ == 0 || partTel_.empty())
         return false;
-    uint64_t cycle =
-        partTel_[0].targetCycles.load(std::memory_order_relaxed);
-    for (const auto &pt : partTel_)
-        cycle = std::min(
-            cycle, pt.targetCycles.load(std::memory_order_relaxed));
+    uint64_t cycle = minTelemetryCycle();
     if (cycle < nextStreamCycle_)
         return false;
     while (nextStreamCycle_ <= cycle)
         nextStreamCycle_ += streamEveryCycles_;
     return true;
+}
+
+uint64_t
+MultiFpgaSim::minTelemetryCycle() const
+{
+    uint64_t cycle = partTel_[0].targetCycles;
+    for (const auto &pt : partTel_)
+        cycle = std::min(cycle, pt.targetCycles);
+    return cycle;
 }
 
 obs::MetricsSnapshot
@@ -701,14 +671,6 @@ MultiFpgaSim::writeTrace(std::ostream &os) const
 }
 
 RunResult
-MultiFpgaSim::runOnce(uint64_t target_cycles)
-{
-    if (execConfig_.backend == ExecBackend::Parallel)
-        return runParallel(target_cycles);
-    return runSequential(target_cycles);
-}
-
-RunResult
 MultiFpgaSim::run(uint64_t target_cycles)
 {
     if (!initialized_)
@@ -726,8 +688,7 @@ MultiFpgaSim::run(uint64_t target_cycles)
     }
 
     // Autosnapshot: chunk the run at snapshot boundaries. Each chunk
-    // ends at a quiesce point (the event loop returned, parallel
-    // workers joined, channels out of concurrent mode), which is
+    // ends at a quiesce point (the event loop returned), which is
     // exactly a consistent cut — so snapshotting between chunks
     // cannot perturb the token schedule or any result.
     uint64_t every = execConfig_.snapshotEveryCycles;
@@ -738,7 +699,7 @@ MultiFpgaSim::run(uint64_t target_cycles)
             snap_dir = env;
     }
     if (every == 0 || snap_dir.empty())
-        return runOnce(target_cycles);
+        return runLoop(target_cycles);
 
     while (true) {
         uint64_t cur = minCycleAll();
@@ -754,7 +715,7 @@ MultiFpgaSim::run(uint64_t target_cycles)
             next = std::min(target_cycles,
                             (next + d - 1) / d * d);
         }
-        RunResult result = runOnce(next);
+        RunResult result = runLoop(next);
         if (result.deadlocked || result.stopped)
             return result;
         std::string error;
@@ -768,17 +729,13 @@ MultiFpgaSim::run(uint64_t target_cycles)
 }
 
 bool
-MultiFpgaSim::checkFailover(int p, double now)
+MultiFpgaSim::checkFailover(double now)
 {
     bool any = false;
     // Graceful degradation: a channel that exhausted its retry
     // budget fails over to host-managed PCIe (the transport that
-    // works anywhere) and keeps the run alive, just slower. Under
-    // the parallel backend each producer handles only its own
-    // out-channels (p >= 0), so failedOver stays single-writer.
+    // works anywhere) and keeps the run alive, just slower.
     for (auto &cs : channels_) {
-        if (p >= 0 && cs.srcPart != p)
-            continue;
         if (!cs.failedOver && cs.chan->linkFailed()) {
             auto host = transport::hostManagedPcie();
             cs.chan->failover(
@@ -786,7 +743,7 @@ MultiFpgaSim::checkFailover(int p, double now)
                 transport::tokenLatencyNs(host));
             cs.failedOver = true;
             any = true;
-            linkFailovers_.fetch_add(1, std::memory_order_relaxed);
+            ++linkFailovers_;
             if (cs.chan->probe())
                 cs.chan->probe()->onEvent("failover", now);
             warn("channel '", cs.chan->name(),
@@ -815,15 +772,14 @@ MultiFpgaSim::finishRun(RunResult &result, double now)
     }
     result.retransmits = result.faultStats.get("retransmits");
     result.transientStallEvents = transientStallEvents_;
-    result.linkFailovers =
-        linkFailovers_.load(std::memory_order_relaxed);
+    result.linkFailovers = linkFailovers_;
     result.degraded = result.linkFailovers > 0;
     if (telemetry_)
         finalizeTelemetry(result, now);
 }
 
 RunResult
-MultiFpgaSim::runSequential(uint64_t target_cycles)
+MultiFpgaSim::runLoop(uint64_t target_cycles)
 {
     size_t num_parts = models_.size();
     std::vector<double> &next_tick = nextTick_;
@@ -893,8 +849,7 @@ MultiFpgaSim::runSequential(uint64_t target_cycles)
             return;
         models_[q]->skipIdleTicks(last);
         if (telemetry_) {
-            partTel_[q].hostCycles.fetch_add(
-                idle, std::memory_order_relaxed);
+            partTel_[q].hostCycles += idle;
             obs::add(partTel_[q].waitTicks, idle);
         }
     };
@@ -994,7 +949,7 @@ MultiFpgaSim::runSequential(uint64_t target_cycles)
 
         // A failed-over channel drops its epoch stall, which can
         // unblock a parked producer.
-        if (faults_.enabled() && checkFailover(-1, now))
+        if (faults_.enabled() && checkFailover(now))
             for (size_t q = 0; q < num_parts; ++q)
                 wakeUp(q, now, p);
 
@@ -1068,149 +1023,6 @@ MultiFpgaSim::runSequential(uint64_t target_cycles)
     return result;
 }
 
-RunResult
-MultiFpgaSim::runParallel(uint64_t target_cycles)
-{
-    size_t num_parts = models_.size();
-    RunResult result;
-
-    std::vector<double> period(num_parts);
-    double max_period = 0.0;
-    for (size_t p = 0; p < num_parts; ++p) {
-        period[p] = fpgas_[p].hostPeriodNs();
-        max_period = std::max(max_period, period[p]);
-    }
-
-    unsigned max_width = std::max(plan_.feedback.maxChannelWidth, 1u);
-    double deadlock_window =
-        10.0 * (transport::tokenLatencyNs(link_) +
-                transport::tokenSerNs(link_, max_width)) +
-        1000.0 * max_period + 1000.0;
-
-    bool all_done = true;
-    for (const auto &model : models_)
-        if (model->minTargetCycle() < target_cycles)
-            all_done = false;
-    if (all_done) {
-        // Mirror the sequential loop's immediate break: nothing
-        // ticks and host time stays where the previous run left it.
-        finishRun(result, now_);
-        return result;
-    }
-
-    // Switch every channel into concurrent mode and describe it to
-    // the engine. The lookahead must be the smallest delivery delay
-    // the channel can ever exhibit; a mid-run failover switches the
-    // timing to the host-managed-PCIe parameters, so take the min of
-    // the current and failover bounds.
-    auto host = transport::hostManagedPcie();
-    std::vector<par::ChannelDesc> descs;
-    descs.reserve(channels_.size());
-    for (auto &cs : channels_) {
-        double cur = cs.chan->serTime() + cs.chan->latency();
-        // A batched channel delivers within-epoch tokens after just
-        // the payload serialization delta (the frame token is always
-        // later), so that is its smallest enqueue-to-visible delay.
-        if (cs.chan->batchDepth() > 1)
-            cur = std::min(cur, cs.chan->payloadSerNs());
-        double fail =
-            transport::tokenSerNs(host, cs.chan->widthBits()) +
-            transport::tokenLatencyNs(host);
-        double lookahead = std::min(cur, fail) * (1.0 - 1e-9);
-        // Pop-log sizing: undrained pop records are bounded by the
-        // tokens physically present at the producer's last drain
-        // plus what it pushed since — at most the channel capacity
-        // plus a small duplicate margin (see libdn/channel.hh).
-        size_t log_cap = 2 * cs.chan->capacity() + 32;
-        cs.chan->enableConcurrent(cs.srcPart, cs.dstPart, log_cap);
-        descs.push_back(
-            {cs.chan.get(), cs.srcPart, cs.dstPart, lookahead});
-    }
-
-    par::EngineConfig ecfg;
-    ecfg.workers = execConfig_.workers;
-    ecfg.deadlockWindowNs = deadlock_window;
-    ecfg.stressSeed = execConfig_.stressSeed;
-    ecfg.startTickNs = nextTick_;
-    ecfg.startTimeNs = now_;
-
-    par::EngineHooks hooks;
-    hooks.onTick = [&](int p, double now) -> par::TickResult {
-        uint64_t before = models_[p]->minTargetCycle();
-        bool progress = models_[p]->tick(now);
-        uint64_t after = models_[p]->minTargetCycle();
-        bool advanced = after != before;
-        double step = advanced ? period[p] * plan_.fame5Threads[p]
-                               : period[p];
-
-        if (telemetry_) {
-            telemetryTick(size_t(p), now, step, progress, advanced);
-            // Progress reporting and stream flushing ride on
-            // partition 0's worker so lastReportNs_ and the stream
-            // cursor stay single-writer.
-            if (p == 0) {
-                if (streamDue())
-                    streamFlush(now);
-                const obs::TelemetryConfig &tcfg =
-                    telemetry_->config();
-                if (tcfg.progressIntervalNs > 0.0 &&
-                    now - lastReportNs_ >= tcfg.progressIntervalNs) {
-                    lastReportNs_ = now;
-                    reportProgress(now, target_cycles);
-                }
-            }
-        }
-        if (faults_.enabled())
-            checkFailover(p, now);
-
-        par::TickResult r;
-        r.nextDeltaNs = step;
-        r.progressed = progress;
-        r.reachedTarget = after >= target_cycles;
-        // Graceful shutdown: checked on every tick (not just target
-        // advances) so a stalled partition still drains promptly.
-        // The engine quiesces all workers before run() returns.
-        if (stopRequested_.load(std::memory_order_relaxed))
-            r.stopRequested = true;
-        if (advanced && stopCondition_) {
-            std::lock_guard<std::mutex> lock(stopMtx_);
-            if (stopCondition_())
-                r.stopRequested = true;
-        }
-        return r;
-    };
-    hooks.onTransientStall = [&](double now) {
-        ++transientStallEvents_;
-        if (telemetry_ && telemetry_->tracer())
-            telemetry_->tracer()->instant("transient-stall",
-                                          "executor", now);
-    };
-    hooks.onDeadlock = [&](double now) {
-        result.deadlocked = true;
-        if (telemetry_ && telemetry_->tracer())
-            telemetry_->tracer()->instant("deadlock", "executor",
-                                          now);
-        result.diagnosis = buildDiagnosis(now);
-        warn("multi-FPGA simulation deadlocked at host time ", now,
-             " ns (no token progress for ", deadlock_window,
-             " ns)\n", result.diagnosis.summary);
-    };
-
-    par::ParallelEngine engine(std::move(ecfg), std::move(hooks),
-                               std::move(descs));
-    par::EngineResult er = engine.run();
-
-    for (auto &cs : channels_)
-        cs.chan->disableConcurrent();
-
-    nextTick_ = er.nextTickNs;
-    now_ = er.hostTimeNs;
-    lastProgress_ = now_;
-    result.stopped = er.stopped;
-    finishRun(result, er.hostTimeNs);
-    return result;
-}
-
 // --- coordinated recovery (src/recovery) --------------------------
 
 namespace {
@@ -1281,7 +1093,7 @@ MultiFpgaSim::acquireRecoveryPoint()
     rp.lastProgressNs = lastProgress_;
     rp.nextTickNs = nextTick_;
     rp.transientStallEvents = transientStallEvents_;
-    rp.linkFailovers = linkFailovers_.load(std::memory_order_relaxed);
+    rp.linkFailovers = linkFailovers_;
     rp.minTargetCycle = minCycleAll();
 
     rp.partitions.reserve(models_.size());
@@ -1370,8 +1182,7 @@ MultiFpgaSim::applyRecoveryPoint(const recovery::RecoveryPoint &rp,
     lastProgress_ = rp.lastProgressNs;
     nextTick_ = rp.nextTickNs;
     transientStallEvents_ = rp.transientStallEvents;
-    linkFailovers_.store(rp.linkFailovers,
-                         std::memory_order_relaxed);
+    linkFailovers_ = rp.linkFailovers;
     error.clear();
     return true;
 }

@@ -6,7 +6,7 @@
  * partition on its own simulated host FPGA (with its own bitstream
  * clock), wires the planned channels through a transport's
  * serialization/latency model, and executes everything in host time
- * with a discrete-event loop.
+ * with one single-threaded discrete-event loop.
  *
  * Two things fall out of the same execution:
  *  - functional results — the partitions exchange real tokens, so
@@ -30,7 +30,6 @@
 #include <functional>
 #include <iosfwd>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "base/stats.hh"
@@ -193,43 +192,17 @@ unsigned defaultBatchDepth();
  *  FIREAXE_PIPELINED_EPOCHS is set to 0/false/off. */
 bool defaultPipelinedEpochs();
 
-/** How MultiFpgaSim::run() executes the partitions. */
-enum class ExecBackend
-{
-    /** One host thread, global discrete-event loop (the reference
-     *  schedule). */
-    Sequential,
-    /** One worker thread per partition (pool capped at the hardware
-     *  concurrency) over the conservative parallel engine in
-     *  src/par. Observable results — token streams, monitor
-     *  callbacks, target cycle counts, RunResult::hostTimeNs — are
-     *  bit-identical to the sequential backend. */
-    Parallel,
-};
-
-/** Execution backend selection for MultiFpgaSim::run(). */
+/** Execution configuration for MultiFpgaSim::run(). */
 struct ExecConfig
 {
-    ExecBackend backend = ExecBackend::Sequential;
-    /** Parallel worker threads; 0 = min(partitions,
-     *  hardware_concurrency). */
-    unsigned workers = 0;
     /**
      * Evaluation engine for every partition's target simulator (see
      * rtlsim/engine.hh): Interpret re-evaluates the full design each
      * cycle, Compiled runs the bytecode engine with activity gating.
      * Bit-exact either way. Defaults to the process-wide
-     * FIREAXE_EVAL choice; fixed at init() time (unlike `backend`,
-     * which may change between run() calls).
+     * FIREAXE_EVAL choice; fixed at init() time.
      */
     rtlsim::EvalEngine evalEngine = rtlsim::defaultEvalEngine();
-    /**
-     * Nonzero (parallel backend only): seed random wall-clock
-     * scheduling jitter into every worker, to shake out ordering
-     * assumptions in stress tests. Results must stay bit-identical
-     * for any value.
-     */
-    uint64_t stressSeed = 0;
     /**
      * Nonzero: run() autosnapshots the whole simulation into
      * `snapshotDir` every N target cycles (crash-consistent commit;
@@ -271,15 +244,6 @@ struct ExecConfig
      * FIREAXE_PIPELINED_EPOCHS=0 flips the default off.
      */
     bool pipelinedEpochs = defaultPipelinedEpochs();
-
-    static ExecConfig
-    parallel(unsigned workers = 0)
-    {
-        ExecConfig cfg;
-        cfg.backend = ExecBackend::Parallel;
-        cfg.workers = workers;
-        return cfg;
-    }
 };
 
 /**
@@ -385,19 +349,17 @@ class MultiFpgaSim
      *  needed. */
     void init();
 
-    /** Stop condition checked after every event batch. Under the
-     *  parallel backend the callback is serialized (called under a
-     *  mutex) but may run on any worker thread. */
+    /** Stop condition checked on the run thread after every tick
+     *  that completes a target cycle. */
     void setStopCondition(std::function<bool()> cond)
     {
         stopCondition_ = std::move(cond);
     }
 
-    /** Select the execution backend for subsequent run() calls; may
-     *  be changed between runs (the two backends resume each other's
-     *  state bit-exactly up to the documented hostTimeNs caveat in
-     *  DESIGN.md). `batchDepth` and `evalEngine` are exceptions:
-     *  both are fixed at init() time. Requesting a batch depth > 1
+    /** Set the execution configuration for subsequent run() calls;
+     *  may be changed between runs, except `batchDepth` and
+     *  `evalEngine`, which are fixed at init() time. Requesting a
+     *  batch depth > 1
      *  immediately runs the static legality pass over the plan copy
      *  (so planHash() reflects the per-channel clamps even before
      *  init()). */
@@ -446,9 +408,8 @@ class MultiFpgaSim
     // --- coordinated recovery (src/recovery) ----------------------
     //
     // All of these are only legal at a quiesce point: between run()
-    // calls (or before the first), when no worker threads exist and
-    // every channel is out of concurrent mode. run()'s autosnapshot
-    // chunking calls snapshot() at exactly such points.
+    // calls (or before the first). run()'s autosnapshot chunking
+    // calls snapshot() at exactly such points.
 
     /**
      * Capture a consistent cut of the whole run: every partition's
@@ -498,8 +459,8 @@ class MultiFpgaSim
     /**
      * Restore the committed snapshot in @p dir (after validating its
      * manifest against this plan's design and structure hashes).
-     * Cross-engine and cross-backend restores are legal: both eval
-     * engines and both backends are bit-exact. Resuming a restored
+     * Cross-engine restores are legal: both eval engines are
+     * bit-exact. Resuming a restored
      * run reproduces the uninterrupted run's results exactly —
      * including under active fault injection, whose RNG substreams
      * are part of the cut.
@@ -554,25 +515,20 @@ class MultiFpgaSim
         double baseLatencyNs = 0.0;
     };
 
-    /** Per-partition telemetry state (only used when telemetry_).
-     *  All fields are written by the partition's owning thread (the
-     *  main thread sequentially, the partition's worker in
-     *  parallel); the two atomics are additionally *read*
-     *  cross-thread by sim-rate sampling and progress reporting. */
+    /** Per-partition telemetry state (only used when telemetry_). */
     struct PartTelemetry
     {
         /** Host cycles charged to this partition so far. */
-        std::atomic<uint64_t> hostCycles{0};
-        /** Target cycles completed, republished every telemetry
-         *  tick so other threads can aggregate without touching the
-         *  partition's model. */
-        std::atomic<uint64_t> targetCycles{0};
+        uint64_t hostCycles = 0;
+        /** Target cycles completed as of the partition's last
+         *  telemetry tick. */
+        uint64_t targetCycles = 0;
         /** Host time a wait-for-tokens span opened; < 0 = none. */
         double waitStartNs = -1.0;
         /** Total host time spent waiting for tokens (ns). */
         double waitNs = 0.0;
-        // FMR sampling window state (per partition, so parallel
-        // workers sample independently at their own host times).
+        // FMR sampling window state (per partition, sampled at the
+        // partition's own host times).
         double lastFmrSampleNs = 0.0;
         uint64_t lastSampleHostCycles = 0;
         uint64_t lastSampleTargetCycles = 0;
@@ -595,7 +551,7 @@ class MultiFpgaSim
     void telemetryTick(size_t p, double now, double step,
                        bool progress, bool advanced);
     /** Periodic FMR sample for partition @p p plus the sim-rate
-     *  gauge; runs on the partition's owning thread. */
+     *  gauge. */
     void sampleFmr(size_t p, double now);
     /** One progress-report line to the configured sink. */
     void reportProgress(double now, uint64_t target_cycles);
@@ -603,28 +559,22 @@ class MultiFpgaSim
     void finalizeTelemetry(RunResult &result, double now);
     /** Streaming telemetry: the slowest partition crossed the next
      *  stream boundary, so a tokens + metrics chunk is due (advances
-     *  the boundary). Called from the single-writer seam of each
-     *  backend (the main loop sequentially, partition 0's worker in
-     *  parallel). */
+     *  the boundary). */
     bool streamDue();
+    /** Minimum PartTelemetry::targetCycles across partitions. */
+    uint64_t minTelemetryCycle() const;
     /** Unconditional stream chunk (drain + tokens + metrics line). */
     void streamFlush(double now);
-    /** The single-threaded discrete-event loop; skips the idle
-     *  host cycles of parked partitions (DESIGN.md §5k). */
-    RunResult runSequential(uint64_t target_cycles);
-    /** The same schedule on the src/par worker-thread engine. */
-    RunResult runParallel(uint64_t target_cycles);
-    /** Shared result tail: fault-stat aggregation, degradation
-     *  flags, telemetry finalization. */
+    /** The discrete-event loop to @p target_cycles (no autosnapshot
+     *  chunking); skips the idle host cycles of parked partitions
+     *  (DESIGN.md §5k). */
+    RunResult runLoop(uint64_t target_cycles);
+    /** Result tail: fault-stat aggregation, degradation flags,
+     *  telemetry finalization. */
     void finishRun(RunResult &result, double now);
-    /** Fail partition @p p's retry-exhausted output channels over to
-     *  host-managed PCIe; p < 0 scans every channel. Runs on the
-     *  producing partition's owning thread. True when any channel
-     *  failed over. */
-    bool checkFailover(int p, double now);
-    /** One event-loop execution to @p target_cycles on the selected
-     *  backend (no autosnapshot chunking). */
-    RunResult runOnce(uint64_t target_cycles);
+    /** Fail every retry-exhausted channel over to host-managed PCIe.
+     *  True when any channel failed over. */
+    bool checkFailover(double now);
     /** FNV-1a over the printed partition circuits. */
     uint64_t designHash() const;
     /** Minimum target cycle across partitions. */
@@ -650,8 +600,7 @@ class MultiFpgaSim
     transport::LinkParams link_;
     transport::FaultModel faults_;
     std::vector<ChannelState> channels_;
-    /** Atomic: parallel workers fail their own out-channels over. */
-    std::atomic<unsigned> linkFailovers_{0};
+    unsigned linkFailovers_ = 0;
     uint64_t transientStallEvents_ = 0;
     std::vector<std::unique_ptr<libdn::LIBDNModel>> models_;
     /** Precompiled programs handed in before init() (may be empty). */
@@ -662,15 +611,13 @@ class MultiFpgaSim
     std::vector<std::ostream *> vcdStreams_;
     std::vector<std::unique_ptr<rtlsim::VcdWriter>> vcdWriters_;
     std::function<bool()> stopCondition_;
-    /** Serializes stop-condition evaluation across workers. */
-    std::mutex stopMtx_;
-    /** Sticky graceful-shutdown request (requestStop()). */
+    /** Sticky graceful-shutdown request (requestStop()); atomic
+     *  because a service drain requests it from another thread. */
     std::atomic<bool> stopRequested_{false};
     ExecConfig execConfig_;
     std::unique_ptr<obs::Telemetry> telemetry_;
     std::vector<PartTelemetry> partTel_;
-    // Streaming telemetry state (setupTelemetry opens the sink; the
-    // single-writer seams below are the only mutators after that).
+    // Streaming telemetry state (setupTelemetry opens the sink).
     std::unique_ptr<std::ostream> streamOs_;
     /** The active stream sink: streamOs_.get() for a file stream,
      *  or the caller-owned TelemetryConfig::streamSink. */

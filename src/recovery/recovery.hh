@@ -4,9 +4,8 @@
  *
  * A RecoveryPoint is an in-memory consistent cut of a whole
  * multi-FPGA run, captured at a quiesce point (between
- * MultiFpgaSim::run() calls both backends are fully quiesced: the
- * sequential loop is between events, the parallel engine has joined
- * its workers and left concurrent channel mode). It holds, per
+ * MultiFpgaSim::run() calls, when the event loop is between
+ * events). It holds, per
  * partition, the simulator checkpoint and LI-BDN FSM state, and per
  * channel the full in-flight/retransmit/fault-RNG state — everything
  * needed to rewind the world, durably persist it (recovery::

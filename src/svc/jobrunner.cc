@@ -117,10 +117,6 @@ JobRunner::prepare()
                 spec_.faultRate, spec_.seed));
 
         platform::ExecConfig exec;
-        exec.backend = spec_.backend == "parallel"
-                           ? platform::ExecBackend::Parallel
-                           : platform::ExecBackend::Sequential;
-        exec.workers = spec_.workers;
         if (!spec_.engine.empty())
             exec.evalEngine = rtlsim::parseEvalEngine(spec_.engine);
         if (spec_.batchDepth > 0)
@@ -164,9 +160,9 @@ JobRunner::execute(std::ostream *stream_sink)
             sim_->setTelemetry(tcfg);
         }
 
-        // Per-partition running trace hash; single writer per slot
-        // under either backend (each monitor runs on its partition's
-        // owning thread). Cycles below hashFrom stay excluded
+        // Per-partition running trace hash, updated by the
+        // partition's monitor on the job's run thread. Cycles below
+        // hashFrom stay excluded
         // symmetrically in resumed and golden runs.
         outcome_.hashFrom = spec_.hashFrom;
         traceHash_.assign(nparts, kFnvOffset);

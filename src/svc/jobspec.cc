@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "recovery/snapshot.hh"
 #include "svc/targets.hh"
@@ -18,9 +19,6 @@ JobSpec::validate() const
         return "unknown target '" + target + "'";
     if (mode != "exact" && mode != "fast")
         return "mode must be exact or fast, got '" + mode + "'";
-    if (backend != "sequential" && backend != "parallel")
-        return "backend must be sequential or parallel, got '" +
-               backend + "'";
     if (!engine.empty() && engine != "interpret" &&
         engine != "compiled")
         return "engine must be interpret or compiled, got '" +
@@ -50,10 +48,6 @@ JobSpec::writeJson(obs::JsonWriter &w) const
     w.value(target);
     w.key("mode");
     w.value(mode);
-    w.key("backend");
-    w.value(backend);
-    w.key("workers");
-    w.value(uint64_t(workers));
     if (!engine.empty()) {
         w.key("engine");
         w.value(engine);
@@ -121,10 +115,13 @@ fail(std::string &error, const std::string &msg)
     return false;
 }
 
-/** Non-negative integral number, or a diagnostic. */
+/** Non-negative integral number no larger than @p max, or a
+ *  diagnostic. The range is checked on the double: converting one
+ *  outside the destination's range is undefined behaviour. */
 bool
 takeU64(const obs::JsonValue &v, const std::string &key,
-        uint64_t &out, std::string &error)
+        uint64_t &out, std::string &error,
+        uint64_t max = std::numeric_limits<uint64_t>::max())
 {
     const obs::JsonValue *m = v.get(key);
     if (!m->isNumber())
@@ -132,7 +129,24 @@ takeU64(const obs::JsonValue &v, const std::string &key,
     if (m->number < 0 || m->number != std::floor(m->number))
         return fail(error, "key '" + key +
                                "' must be a non-negative integer");
+    // 2^64: the smallest double above every uint64_t.
+    if (m->number >= 18446744073709551616.0 ||
+        uint64_t(m->number) > max)
+        return fail(error, "key '" + key + "' must be at most " +
+                               std::to_string(max));
     out = uint64_t(m->number);
+    return true;
+}
+
+bool
+takeUnsigned(const obs::JsonValue &v, const std::string &key,
+             unsigned &out, std::string &error)
+{
+    uint64_t u = 0;
+    if (!takeU64(v, key, u, error,
+                 std::numeric_limits<unsigned>::max()))
+        return false;
+    out = unsigned(u);
     return true;
 }
 
@@ -167,6 +181,9 @@ parseJobSpec(const obs::JsonValue &v, JobSpec &spec,
     if (!v.isObject())
         return fail(error, "job must be a JSON object");
     spec = JobSpec{};
+    const std::string removed =
+        " (the parallel backend was removed; jobs run on the "
+        "sequential loop)";
     for (const auto &[key, val] : v.obj) {
         uint64_t u = 0;
         if (key == "target") {
@@ -176,19 +193,23 @@ parseJobSpec(const obs::JsonValue &v, JobSpec &spec,
             if (!takeString(v, key, spec.mode, error))
                 return false;
         } else if (key == "backend") {
-            if (!takeString(v, key, spec.backend, error))
+            std::string backend;
+            if (!takeString(v, key, backend, error))
                 return false;
+            if (backend != "sequential")
+                return fail(error, "key 'backend' must be "
+                                   "\"sequential\"" + removed);
         } else if (key == "engine") {
             if (!takeString(v, key, spec.engine, error))
                 return false;
         } else if (key == "workers") {
             if (!takeU64(v, key, u, error))
                 return false;
-            spec.workers = unsigned(u);
+            if (u != 0)
+                return fail(error, "key 'workers' must be 0" + removed);
         } else if (key == "batch_depth") {
-            if (!takeU64(v, key, u, error))
+            if (!takeUnsigned(v, key, spec.batchDepth, error))
                 return false;
-            spec.batchDepth = unsigned(u);
         } else if (key == "cycles") {
             if (!takeU64(v, key, spec.cycles, error))
                 return false;
@@ -229,9 +250,8 @@ parseJobSpec(const obs::JsonValue &v, JobSpec &spec,
             if (!takeString(v, key, spec.streamPath, error))
                 return false;
         } else if (key == "sample_every") {
-            if (!takeU64(v, key, u, error))
+            if (!takeUnsigned(v, key, spec.sampleEvery, error))
                 return false;
-            spec.sampleEvery = unsigned(u);
         } else if (key == "stream_every") {
             if (!takeU64(v, key, spec.streamEvery, error))
                 return false;
@@ -240,6 +260,13 @@ parseJobSpec(const obs::JsonValue &v, JobSpec &spec,
                 val.number != std::floor(val.number))
                 return fail(error, "key 'channel_capacity' must be "
                                    "an integer");
+            if (val.number < -1 ||
+                val.number > std::numeric_limits<int>::max())
+                return fail(error, "key 'channel_capacity' must be "
+                                   "in [-1, " +
+                                   std::to_string(
+                                       std::numeric_limits<int>::max()) +
+                                   "]");
             spec.channelCapacity = int(val.number);
         } else {
             return fail(error, "unknown key '" + key + "'");

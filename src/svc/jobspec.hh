@@ -33,10 +33,6 @@ struct JobSpec
     std::string target;
     /** Partitioning mode: "exact" or "fast". */
     std::string mode = "exact";
-    /** Execution backend: "sequential" or "parallel". */
-    std::string backend = "sequential";
-    /** Parallel worker threads (0 = auto). */
-    unsigned workers = 0;
     /** Evaluation engine: "" = process default (FIREAXE_EVAL),
      *  "interpret" or "compiled". */
     std::string engine;
@@ -85,7 +81,7 @@ struct JobSpec
     /**
      * FNV-1a identity of everything that shapes elaboration (target,
      * mode, channel-capacity override): the artifact-cache key for
-     * the elaborated plan. Execution knobs (cycles, backend, faults)
+     * the elaborated plan. Execution knobs (cycles, engine, faults)
      * deliberately do not participate — they don't change the plan.
      */
     uint64_t elabSignature() const;
@@ -96,8 +92,12 @@ struct JobSpec
 };
 
 /**
- * Parse the wire form. Strict: every key must be known and correctly
- * typed. Returns false with a diagnostic naming the key on rejection.
+ * Parse the wire form. Strict: every key must be known, correctly
+ * typed and within the range of its field. Returns false with a
+ * diagnostic naming the key on rejection. The keys of the removed
+ * parallel backend are accepted only with the values that select the
+ * sequential loop ("backend": "sequential", "workers": 0) and are
+ * not stored.
  * (Spec-level validation — unknown target, bad mode — is separate;
  * call spec.validate() after a successful parse.)
  */

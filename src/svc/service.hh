@@ -2,11 +2,10 @@
  * @file
  * SimService: the multi-tenant job engine behind the `fireaxed`
  * daemon. A fixed pool of worker threads pulls whole jobs off one
- * queue — scheduling across-job parallelism over the cores, on top
- * of whatever per-job parallelism each job's own ExecConfig requests
- * (src/par) — and runs each through svc::JobRunner against the one
- * shared ArtifactCache, so every tenant warms the cache for every
- * other.
+ * queue — each job runs single-threaded, so the pool is where the
+ * cores are used — and runs each through svc::JobRunner against the
+ * one shared ArtifactCache, so every tenant warms the cache for
+ * every other.
  *
  * All job output is pushed through the submitter's EventSink as
  * rendered fireaxe.job.v1 protocol lines: lifecycle status edges,

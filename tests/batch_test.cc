@@ -4,8 +4,8 @@
  * fixtures), auto-clamping on mixed boundaries, the batched
  * ReliableTokenChannel under fault injection (batch-granular
  * retransmit, no duplicate delivery), mid-batch snapshot/resume
- * bit-exactness across worker counts, and the headline FMR
- * improvement on the fig2 exact showcase.
+ * bit-exactness, and the headline FMR improvement on the fig2 exact
+ * showcase.
  */
 
 #include <gtest/gtest.h>
@@ -326,23 +326,19 @@ TEST(BatchClamp, MixedBoundaryRunsBitExactUnderRequestedDepth)
     EXPECT_GT(clamped, 0u);
     (void)legality;
 
-    for (auto backend :
-         {ExecBackend::Sequential, ExecBackend::Parallel}) {
-        MultiFpgaSim sim(plan, u250s(plan.partitions.size(), 50.0),
-                         transport::qsfpAurora());
-        ExecConfig cfg;
-        cfg.backend = backend;
-        cfg.batchDepth = 8; // clamped per channel, not rejected
-        sim.setExecConfig(cfg);
-        std::vector<uint64_t> trace;
-        sim.setMonitor(0, statusRecorder(trace));
-        auto result = sim.run(cycles);
-        ASSERT_FALSE(result.deadlocked);
-        ASSERT_GE(trace.size(), golden.size());
-        for (size_t i = 0; i < golden.size(); ++i)
-            ASSERT_EQ(trace[i], golden[i])
-                << "mixed-boundary divergence at cycle " << i;
-    }
+    MultiFpgaSim sim(plan, u250s(plan.partitions.size(), 50.0),
+                     transport::qsfpAurora());
+    ExecConfig cfg;
+    cfg.batchDepth = 8; // clamped per channel, not rejected
+    sim.setExecConfig(cfg);
+    std::vector<uint64_t> trace;
+    sim.setMonitor(0, statusRecorder(trace));
+    auto result = sim.run(cycles);
+    ASSERT_FALSE(result.deadlocked);
+    ASSERT_GE(trace.size(), golden.size());
+    for (size_t i = 0; i < golden.size(); ++i)
+        ASSERT_EQ(trace[i], golden[i])
+            << "mixed-boundary divergence at cycle " << i;
 }
 
 // ---------------------------------------------------------------
@@ -438,10 +434,10 @@ TEST(BatchFault, BatchGranularRetransmitNoDuplicateDelivery)
 }
 
 // ---------------------------------------------------------------
-// Mid-batch snapshot/resume bit-exactness across worker counts
+// Mid-batch snapshot/resume bit-exactness
 // ---------------------------------------------------------------
 
-TEST(BatchSnapshot, MidBatchResumeBitExactAcrossWorkerCounts)
+TEST(BatchSnapshot, MidBatchResumeBitExact)
 {
     firrtl::Circuit circuit;
     auto plan = fig2Plan(circuit);
@@ -464,64 +460,49 @@ TEST(BatchSnapshot, MidBatchResumeBitExactAcrossWorkerCounts)
                        });
         auto r = sim.run(cycles);
         ASSERT_FALSE(r.deadlocked);
-        // Settle to cycles + 25 so interrupted runs (whose parallel
-        // tail may overshoot) can reach the identical stop point.
+        // Settle to cycles + 25, the stop point of the resumed run.
         auto rt = sim.run(cycles + 25);
         ASSERT_FALSE(rt.deadlocked);
         golden_sig = stateSignature(sim, plan.partitions.size());
     }
 
-    for (unsigned workers : {0u, 1u, 2u, 4u, 8u}) {
-        SCOPED_TRACE("workers=" + std::to_string(workers));
-        std::string dir = tempDir();
-        std::string error;
-        {
-            MultiFpgaSim sim(plan,
-                             u250s(plan.partitions.size(), 50.0),
-                             transport::qsfpAurora());
-            ExecConfig cfg;
-            cfg.batchDepth = depth;
-            sim.setExecConfig(cfg);
-            auto r = sim.run(cut);
-            ASSERT_FALSE(r.deadlocked);
-            ASSERT_TRUE(sim.snapshot(dir, error)) << error;
-        }
-
+    std::string dir = tempDir();
+    std::string error;
+    {
         MultiFpgaSim sim(plan, u250s(plan.partitions.size(), 50.0),
                          transport::qsfpAurora());
         ExecConfig cfg;
-        cfg.backend = workers ? ExecBackend::Parallel
-                              : ExecBackend::Sequential;
-        cfg.workers = workers;
         cfg.batchDepth = depth;
         sim.setExecConfig(cfg);
-        std::vector<std::pair<uint64_t, uint64_t>> obs;
-        sim.setMonitor(0,
-                       [&](rtlsim::Simulator &s, unsigned,
-                           uint64_t cycle) {
-                           obs.emplace_back(cycle, s.peek("obs_a"));
-                       });
-        ASSERT_TRUE(sim.restore(dir, error)) << error;
-        auto r = sim.run(cycles);
+        auto r = sim.run(cut);
         ASSERT_FALSE(r.deadlocked);
-        // The parallel backend may overshoot; settle with a short
-        // sequential tail so the stopping point is deterministic.
-        ExecConfig tail = cfg;
-        tail.backend = ExecBackend::Sequential;
-        sim.setExecConfig(tail);
-        auto rt = sim.run(cycles + 25);
-        ASSERT_FALSE(rt.deadlocked);
-
-        EXPECT_EQ(stateSignature(sim, plan.partitions.size()),
-                  golden_sig);
-        ASSERT_FALSE(obs.empty());
-        for (const auto &[cycle, value] : obs) {
-            if (cycle < golden_obs.size())
-                ASSERT_EQ(value, golden_obs[cycle])
-                    << "resume divergence at cycle " << cycle;
-        }
-        fs::remove_all(dir);
+        ASSERT_TRUE(sim.snapshot(dir, error)) << error;
     }
+
+    MultiFpgaSim sim(plan, u250s(plan.partitions.size(), 50.0),
+                     transport::qsfpAurora());
+    ExecConfig cfg;
+    cfg.batchDepth = depth;
+    sim.setExecConfig(cfg);
+    std::vector<std::pair<uint64_t, uint64_t>> obs;
+    sim.setMonitor(0,
+                   [&](rtlsim::Simulator &s, unsigned, uint64_t cycle) {
+                       obs.emplace_back(cycle, s.peek("obs_a"));
+                   });
+    ASSERT_TRUE(sim.restore(dir, error)) << error;
+    auto r = sim.run(cycles);
+    ASSERT_FALSE(r.deadlocked);
+    auto rt = sim.run(cycles + 25);
+    ASSERT_FALSE(rt.deadlocked);
+
+    EXPECT_EQ(stateSignature(sim, plan.partitions.size()), golden_sig);
+    ASSERT_FALSE(obs.empty());
+    for (const auto &[cycle, value] : obs) {
+        if (cycle < golden_obs.size())
+            ASSERT_EQ(value, golden_obs[cycle])
+                << "resume divergence at cycle " << cycle;
+    }
+    fs::remove_all(dir);
 }
 
 // ---------------------------------------------------------------

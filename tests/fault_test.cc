@@ -610,6 +610,30 @@ TEST(Fault, DiagnosisPrettyPrinters)
     EXPECT_NE(cos.str().find("starved"), std::string::npos);
 }
 
+// Each channel side draws from its own fault-RNG substream, so one
+// side's draws never shift the other's schedule.
+TEST(Fault, ChannelStreamsAreDeterministicAndIndependent)
+{
+    transport::FaultConfig cfg;
+    cfg.seed = 5;
+    cfg.dropRate = 0.1;
+    transport::FaultModel fm(cfg);
+
+    auto a = fm.channelRng("ch0", "tx");
+    auto b = fm.channelRng("ch0", "tx");
+    for (int i = 0; i < 16; ++i)
+        ASSERT_EQ(a.next(), b.next()); // same stream, same draws
+
+    auto tx = fm.channelRng("ch0", "tx");
+    auto rx = fm.channelRng("ch0", "rx");
+    EXPECT_NE(tx.next(), rx.next()); // sides draw independently
+
+    // Hash chaining: the (name, stream) split point matters.
+    auto ab_c = fm.channelRng("ab", "c");
+    auto a_bc = fm.channelRng("a", "bc");
+    EXPECT_NE(ab_c.next(), a_bc.next());
+}
+
 TEST(Fault, DeterministicScheduleIsReproducible)
 {
     target::BusSocConfig cfg;

@@ -1,13 +1,13 @@
 /**
  * @file
  * Differential fuzzing of the rtlsim evaluation engines and the
- * partition execution backends. A seeded generator emits random flat
+ * partitioned co-simulation. A seeded generator emits random flat
  * circuits (mixed widths, muxes, cat/bits, registers, a memory) and
  * random partitionable circuits; each one is driven with a random
  * input trace while asserting bit-exact signal tables between the
  * Interpret and Compiled engines, and bit-exact monitor traces
- * between the monolithic golden run, the sequential backend and the
- * parallel backend under both engines.
+ * between the monolithic golden run and the partitioned run under
+ * both engines.
  *
  * Every assertion message carries the failing seed; replay a single
  * circuit with FIREAXE_FUZZ_SEED=<seed>. FIREAXE_FUZZ_CIRCUITS and
@@ -476,11 +476,11 @@ TEST(FuzzFlat, CrossEngineCheckpointRestore)
 /**
  * Partition-level differential: random partitionable circuits run
  * through the full stack. The monolithic interpreter run is golden;
- * sequential and parallel backends under both engines must reproduce
- * its monitor trace bit-exactly (the parallel backend may overshoot
- * the cycle budget, so compare as a prefix).
+ * the partitioned run under both engines must reproduce its monitor
+ * trace bit-exactly (compared as a prefix: a partition may finish a
+ * little past the cycle budget).
  */
-TEST(FuzzPartitioned, BackendsAndEnginesMatchGolden)
+TEST(FuzzPartitioned, EnginesMatchGolden)
 {
     const uint64_t circuits = envU64("FIREAXE_FUZZ_PART_CIRCUITS", 24);
     const uint64_t only = envU64("FIREAXE_FUZZ_SEED", 0);
@@ -504,39 +504,27 @@ TEST(FuzzPartitioned, BackendsAndEnginesMatchGolden)
 
         const rtlsim::EvalEngine engines[] = {
             rtlsim::EvalEngine::Interpret, rtlsim::EvalEngine::Compiled};
-        const platform::ExecBackend backends[] = {
-            platform::ExecBackend::Sequential,
-            platform::ExecBackend::Parallel};
         for (auto engine : engines) {
-            for (auto backend : backends) {
-                platform::MultiFpgaSim sim(
-                    plan,
-                    std::vector<platform::FpgaSpec>(
-                        plan.partitions.size(),
-                        platform::alveoU250(50.0)),
-                    transport::qsfpAurora());
-                platform::ExecConfig cfg;
-                cfg.backend = backend;
-                cfg.evalEngine = engine;
-                sim.setExecConfig(cfg);
-                std::vector<uint64_t> trace;
-                sim.setMonitor(0, recorder(trace, "status"));
-                sim.run(cycles);
-                ASSERT_GE(trace.size(), golden.size())
-                    << "short trace under engine "
-                    << rtlsim::toString(engine)
+            platform::MultiFpgaSim sim(
+                plan,
+                std::vector<platform::FpgaSpec>(
+                    plan.partitions.size(), platform::alveoU250(50.0)),
+                transport::qsfpAurora());
+            platform::ExecConfig cfg;
+            cfg.evalEngine = engine;
+            sim.setExecConfig(cfg);
+            std::vector<uint64_t> trace;
+            sim.setMonitor(0, recorder(trace, "status"));
+            sim.run(cycles);
+            ASSERT_GE(trace.size(), golden.size())
+                << "short trace under engine "
+                << rtlsim::toString(engine)
+                << "; replay with FIREAXE_FUZZ_SEED=" << seed;
+            for (size_t i = 0; i < golden.size(); ++i) {
+                ASSERT_EQ(trace[i], golden[i])
+                    << "partitioned divergence at cycle " << i
+                    << " under engine " << rtlsim::toString(engine)
                     << "; replay with FIREAXE_FUZZ_SEED=" << seed;
-                for (size_t i = 0; i < golden.size(); ++i) {
-                    ASSERT_EQ(trace[i], golden[i])
-                        << "backend/engine divergence at cycle " << i
-                        << " under engine " << rtlsim::toString(engine)
-                        << ", backend "
-                        << (backend ==
-                                    platform::ExecBackend::Sequential
-                                ? "sequential"
-                                : "parallel")
-                        << "; replay with FIREAXE_FUZZ_SEED=" << seed;
-                }
             }
         }
     }
@@ -545,8 +533,8 @@ TEST(FuzzPartitioned, BackendsAndEnginesMatchGolden)
 /**
  * Batching differential: depth-N token batching and pipelined epochs
  * change only the modeled host time, never token values or order, so
- * every (depth, pipelined, backend, engine) combination must
- * reproduce the depth-1 sequential golden's monitor trace — the
+ * every (depth, pipelined, engine) combination must reproduce the
+ * depth-1 golden's monitor trace — the
  * per-cycle signal-table witness — and its trace hash, bit-exactly.
  * Each seed draws one depth from {1, 2, 8, 32} and a pipelined
  * on/off coin so the corpus covers the grid without multiplying the
@@ -574,8 +562,7 @@ TEST(FuzzPartitioned, BatchDepthsMatchDepthOneGolden)
         spec.groups.push_back({"blka", {"dut_a"}, 1});
         ripper::PartitionPlan plan = ripper::partition(circuit, spec);
 
-        auto runOnce = [&](platform::ExecBackend backend,
-                           rtlsim::EvalEngine engine, unsigned depth,
+        auto runOnce = [&](rtlsim::EvalEngine engine, unsigned depth,
                            bool pipelined, std::vector<uint64_t> &out) {
             platform::MultiFpgaSim sim(
                 plan,
@@ -584,7 +571,6 @@ TEST(FuzzPartitioned, BatchDepthsMatchDepthOneGolden)
                     platform::alveoU250(50.0)),
                 transport::qsfpAurora());
             platform::ExecConfig cfg;
-            cfg.backend = backend;
             cfg.evalEngine = engine;
             cfg.batchDepth = depth;
             cfg.pipelinedEpochs = pipelined;
@@ -596,11 +582,10 @@ TEST(FuzzPartitioned, BatchDepthsMatchDepthOneGolden)
                 << "; replay with FIREAXE_FUZZ_SEED=" << seed;
         };
 
-        // Depth-1 sequential interpret is the golden; it must itself
-        // match the monolithic run (sanity of the whole chain).
+        // Depth-1 interpret is the golden; it must itself match the
+        // monolithic run (sanity of the whole chain).
         std::vector<uint64_t> golden;
-        runOnce(platform::ExecBackend::Sequential,
-                rtlsim::EvalEngine::Interpret, 1, true, golden);
+        runOnce(rtlsim::EvalEngine::Interpret, 1, true, golden);
         ASSERT_GE(golden.size(), mono.size());
         for (size_t i = 0; i < mono.size(); ++i)
             ASSERT_EQ(golden[i], mono[i])
@@ -616,33 +601,24 @@ TEST(FuzzPartitioned, BatchDepthsMatchDepthOneGolden)
         const rtlsim::EvalEngine engines[] = {
             rtlsim::EvalEngine::Interpret,
             rtlsim::EvalEngine::Compiled};
-        const platform::ExecBackend backends[] = {
-            platform::ExecBackend::Sequential,
-            platform::ExecBackend::Parallel};
         for (auto engine : engines) {
-            for (auto backend : backends) {
-                std::vector<uint64_t> trace;
-                runOnce(backend, engine, depth, pipelined, trace);
-                ASSERT_GE(trace.size(), golden.size())
-                    << "short trace at depth " << depth
-                    << "; replay with FIREAXE_FUZZ_SEED=" << seed;
-                for (size_t i = 0; i < golden.size(); ++i) {
-                    ASSERT_EQ(trace[i], golden[i])
-                        << "batching divergence at cycle " << i
-                        << " under depth " << depth << ", pipelined "
-                        << pipelined << ", engine "
-                        << rtlsim::toString(engine) << ", backend "
-                        << (backend ==
-                                    platform::ExecBackend::Sequential
-                                ? "sequential"
-                                : "parallel")
-                        << "; replay with FIREAXE_FUZZ_SEED=" << seed;
-                }
-                trace.resize(golden.size());
-                ASSERT_EQ(traceHash(trace), goldenHash)
-                    << "trace-hash divergence at depth " << depth
+            std::vector<uint64_t> trace;
+            runOnce(engine, depth, pipelined, trace);
+            ASSERT_GE(trace.size(), golden.size())
+                << "short trace at depth " << depth
+                << "; replay with FIREAXE_FUZZ_SEED=" << seed;
+            for (size_t i = 0; i < golden.size(); ++i) {
+                ASSERT_EQ(trace[i], golden[i])
+                    << "batching divergence at cycle " << i
+                    << " under depth " << depth << ", pipelined "
+                    << pipelined << ", engine "
+                    << rtlsim::toString(engine)
                     << "; replay with FIREAXE_FUZZ_SEED=" << seed;
             }
+            trace.resize(golden.size());
+            ASSERT_EQ(traceHash(trace), goldenHash)
+                << "trace-hash divergence at depth " << depth
+                << "; replay with FIREAXE_FUZZ_SEED=" << seed;
         }
     }
 }

@@ -1,6 +1,7 @@
 /**
  * @file
- * Tests for the LI-BDN runtime: token channels with link timing,
+ * Tests for the LI-BDN runtime: the channel ring buffer, token
+ * channels with link timing,
  * decoupled models (output-FSM/fireFSM semantics), deadlock
  * behaviour with unseparated channels (paper Fig. 2a), and FAME-5
  * multithreading.
@@ -12,6 +13,7 @@
 #include "firrtl/builder.hh"
 #include "libdn/channel.hh"
 #include "libdn/model.hh"
+#include "libdn/ring.hh"
 #include "target/paper_examples.hh"
 
 using namespace fireaxe;
@@ -20,6 +22,34 @@ using libdn::ChannelPtr;
 using libdn::LIBDNModel;
 using libdn::Token;
 using libdn::TokenChannel;
+
+TEST(Ring, SingleThreadFifoOrder)
+{
+    libdn::Ring<int> ring(4); // rounds up to a power of two
+    EXPECT_TRUE(ring.empty());
+    for (int i = 0; i < 4; ++i)
+        ring.pushBack(i);
+    EXPECT_EQ(ring.size(), 4u);
+    EXPECT_EQ(ring.front(), 0);
+    EXPECT_EQ(ring.at(3), 3);
+    for (int i = 0; i < 4; ++i) {
+        EXPECT_EQ(ring.front(), i);
+        ring.popFront();
+    }
+    EXPECT_TRUE(ring.empty());
+}
+
+TEST(Ring, PushFrontRestoresHead)
+{
+    libdn::Ring<int> ring(8);
+    ring.pushBack(1);
+    ring.pushBack(2);
+    int head = ring.front();
+    ring.popFront();
+    ring.pushFront(head);
+    EXPECT_EQ(ring.front(), 1);
+    EXPECT_EQ(ring.size(), 2u);
+}
 
 TEST(Channel, FifoOrderAndCapacity)
 {

@@ -15,6 +15,8 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "base/logging.hh"
@@ -792,4 +794,41 @@ TEST(Telemetry, StreamedRunFeedsCriticalPathAnalyzer)
     EXPECT_FALSE(report.channels.empty());
 
     std::remove(path.c_str());
+}
+
+// A registry and tracer may be shared by the service's worker
+// threads, so concurrent updates must not lose counts.
+TEST(Metrics, MetricsSurviveConcurrentHammering)
+{
+    obs::MetricsRegistry reg;
+    obs::Tracer tracer(4096);
+    const int kThreads = 4, kIters = 10000;
+
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (int i = 0; i < kIters; ++i) {
+                reg.counter("shared.count").add();
+                reg.gauge("shared.gauge").set(double(i));
+                reg.histogram("shared.hist").observe(double(i));
+                reg.counter("t" + std::to_string(t) + ".count")
+                    .add();
+                if (i % 64 == 0)
+                    tracer.instant("ev", "test", double(i), t);
+            }
+        });
+    }
+    for (auto &th : threads)
+        th.join();
+
+    EXPECT_EQ(reg.counter("shared.count").value(),
+              uint64_t(kThreads) * kIters);
+    EXPECT_EQ(reg.histogram("shared.hist").count(),
+              uint64_t(kThreads) * kIters);
+    for (int t = 0; t < kThreads; ++t)
+        EXPECT_EQ(
+            reg.counter("t" + std::to_string(t) + ".count").value(),
+            uint64_t(kIters));
+    EXPECT_EQ(tracer.totalEmitted(),
+              uint64_t(kThreads) * (kIters / 64 + (kIters % 64 ? 1 : 0)));
 }

@@ -4,8 +4,8 @@
  * (src/recovery) and its executor integration: the durable
  * SnapshotStore commit protocol (torn writes, corrupted shards,
  * stale generations), whole-run snapshot/restore bit-exactness
- * across backends, worker counts and eval engines (including under
- * fault injection), the acquire/rollback recovery-point seam, and
+ * across eval engines (including under fault injection), the
+ * acquire/rollback recovery-point seam, and
  * single-partition restart with inbound-token replay.
  *
  * The recurring assertion shape: an interrupted-and-recovered run
@@ -132,18 +132,14 @@ expectTraceSubset(const CycleTrace &golden, const CycleTrace &got)
 }
 
 /**
- * The parallel backend may overshoot the target by a wall-clock-
- * dependent handful of cycles (documented; every executed cycle is
- * still bit-exact). Final-state comparisons therefore first bring
- * the run to a deterministic point with a short single-threaded
- * tail: the sequential loop's stopping point depends only on the
- * (bit-exact) host-time trajectory, not on thread timing.
+ * Final-state comparisons first bring the run to a fixed point past
+ * the target with autosnapshots off, so interrupted and golden runs
+ * compare at the same stopping point.
  */
 void
 settle(MultiFpgaSim &sim, uint64_t cycles)
 {
     ExecConfig exec = sim.execConfig();
-    exec.backend = ExecBackend::Sequential;
     exec.snapshotEveryCycles = 0;
     sim.setExecConfig(exec);
     auto r = sim.run(cycles);
@@ -296,7 +292,7 @@ TEST(SnapshotStore, CorruptedShardIsAStructuredError)
 namespace {
 
 /** Interrupt a run at @p cut cycles, snapshot, restore into a brand
- *  new executor (possibly different backend/engine), finish to
+ *  new executor (possibly a different engine), finish to
  *  @p cycles, and compare against the golden uninterrupted run. */
 void
 roundTrip(const firrtl::Circuit &soc, const ExecConfig &first,
@@ -351,30 +347,25 @@ roundTrip(const firrtl::Circuit &soc, const ExecConfig &first,
 
 } // namespace
 
-TEST(Restore, BitExactAcrossWorkerCountsAndEngines)
+TEST(Restore, BitExactAcrossEngines)
 {
     auto soc = fourTileSoc();
     for (auto engine : {rtlsim::EvalEngine::Interpret,
                         rtlsim::EvalEngine::Compiled}) {
-        for (unsigned workers : {0u, 1u, 2u, 4u, 8u}) {
-            SCOPED_TRACE(std::string(rtlsim::toString(engine)) +
-                         " workers=" + std::to_string(workers));
-            ExecConfig exec = workers == 0
-                                  ? ExecConfig{}
-                                  : ExecConfig::parallel(workers);
-            exec.evalEngine = engine;
-            roundTrip(soc, exec, exec, 200, 400);
-        }
+        SCOPED_TRACE(rtlsim::toString(engine));
+        ExecConfig exec;
+        exec.evalEngine = engine;
+        roundTrip(soc, exec, exec, 200, 400);
     }
 }
 
-TEST(Restore, CrossEngineCrossBackendResume)
+TEST(Restore, CrossEngineResume)
 {
-    // Snapshot under the compiled engine on the parallel backend,
-    // resume under the interpreter on the sequential backend: both
-    // pairs are bit-exact, so the mix must be too.
+    // Snapshot under the compiled engine, resume under the
+    // interpreter: both engines are bit-exact, so the mix must be
+    // too.
     auto soc = fourTileSoc();
-    ExecConfig first = ExecConfig::parallel(4);
+    ExecConfig first;
     first.evalEngine = rtlsim::EvalEngine::Compiled;
     ExecConfig second;
     second.evalEngine = rtlsim::EvalEngine::Interpret;
@@ -391,8 +382,6 @@ TEST(Restore, FaultInjectionStateSurvivesTheCut)
     GoldenRun golden = goldenRun(soc, ExecConfig{}, 700, &faults);
     EXPECT_GT(golden.result.retransmits, 0u);
     roundTrip(soc, ExecConfig{}, ExecConfig{}, 350, 700, &faults);
-    roundTrip(soc, ExecConfig::parallel(4), ExecConfig::parallel(4),
-              350, 700, &faults);
 }
 
 TEST(Restore, RejectsForeignAndMissingSnapshots)
@@ -630,11 +619,6 @@ restartScenario(const ExecConfig &exec)
 TEST(RecoveryPoint, RestartPartitionSequential)
 {
     restartScenario(ExecConfig{});
-}
-
-TEST(RecoveryPoint, RestartPartitionParallel)
-{
-    restartScenario(ExecConfig::parallel(4));
 }
 
 TEST(RecoveryPoint, RestartPartitionCompiledEngine)

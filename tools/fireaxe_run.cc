@@ -49,10 +49,6 @@ usage(std::ostream &os, int status)
           "  --cycles N          target cycles to simulate "
           "(default 2000)\n"
           "  --mode exact|fast   partitioning mode (default exact)\n"
-          "  --backend sequential|parallel\n"
-          "                      execution backend (default "
-          "sequential)\n"
-          "  --workers N         parallel worker threads (0 = auto)\n"
           "  --engine interpret|compiled\n"
           "                      evaluation engine (default: "
           "FIREAXE_EVAL)\n"
@@ -159,8 +155,8 @@ appendJsonRow(const std::string &json_path, const svc::JobSpec &spec,
     unsigned batch_depth = effectiveBatchDepth(spec);
     bench::JsonRow row;
     bench::addRunIdentity(row, "fireaxe.run.v1", spec.target,
-                          o.planHash, o.artifactHash, spec.backend,
-                          engine, spec.workers, batch_depth);
+                          o.planHash, o.artifactHash, engine,
+                          batch_depth);
     row.field("mode", spec.mode)
         .field("cycles", o.result.targetCycles)
         .field("resume_cycle", o.resumeCycle)
@@ -298,11 +294,6 @@ main(int argc, char **argv)
             spec.cycles = parseU64(arg, value("--cycles"));
         } else if (arg == "--mode") {
             spec.mode = value("--mode");
-        } else if (arg == "--backend") {
-            spec.backend = value("--backend");
-        } else if (arg == "--workers") {
-            spec.workers =
-                unsigned(parseU64(arg, value("--workers")));
         } else if (arg == "--engine") {
             spec.engine = value("--engine");
         } else if (arg == "--batch-depth") {

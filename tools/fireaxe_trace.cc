@@ -55,7 +55,6 @@ struct Stream
 {
     bool haveHeader = false;
     std::string target;
-    std::string backend;
     std::string engine;
     uint64_t planHash = 0;
     obs::CritPathInput input;
@@ -72,7 +71,6 @@ parseHeader(const obs::JsonValue &line, Stream &s)
 {
     s.haveHeader = true;
     s.target = line.text("target");
-    s.backend = line.text("backend");
     s.engine = line.text("engine");
     s.planHash = line.u64("plan_hash");
     s.input.sampleEvery = unsigned(line.u64("sample_every", 1));
@@ -242,7 +240,6 @@ main(int argc, char **argv)
 
     std::cout << "stream " << path << "\n"
               << "target " << s.target << "\n"
-              << "backend " << s.backend << "\n"
               << "engine " << s.engine << "\n"
               << "plan_hash 0x" << std::hex << s.planHash << std::dec
               << "\n"
