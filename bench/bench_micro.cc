@@ -143,12 +143,11 @@ namespace {
 uint64_t
 finalStateSignature(platform::MultiFpgaSim &sim, size_t nparts)
 {
-    uint64_t h = 1469598103934665603ull;
+    uint64_t h = recovery::kFnvOffset;
     for (size_t p = 0; p < nparts; ++p) {
         auto &m = sim.model(int(p));
-        h = recovery::fnv1aMix(h, m.minTargetCycle());
-        for (size_t i = 0; i < m.sim().numSignals(); ++i)
-            h = recovery::fnv1aMix(h, m.sim().peekIdx(int(i)));
+        h = recovery::hashSignals(
+            recovery::fnv1aMix(h, m.minTargetCycle()), m.sim().values());
     }
     return h;
 }

@@ -16,6 +16,7 @@
 #include "base/logging.hh"
 #include "base/serial.hh"
 #include "passes/flatten.hh"
+#include "platform/gridwalk.hh"
 #include "recovery/snapshot.hh"
 #include "rtlsim/simulator.hh"
 #include "verify/verify.hh"
@@ -835,22 +836,20 @@ MultiFpgaSim::runLoop(uint64_t target_cycles)
     bool reporting = tcfg && tcfg->progressIntervalNs > 0.0;
 
     // Settle partition q's idle ticks that precede (at, p) in the
-    // loop's (time, index) order.
+    // loop's (time, index) order. Both grid walks here jump in
+    // O(log k) when the grid sums are exact (platform/gridwalk.hh).
     auto settle = [&](size_t q, double at, size_t p) {
-        uint64_t idle = 0;
-        double &t = next_tick[q];
-        double last = t;
-        while (t < wake[q] && (t < at || (t == at && q < p))) {
-            last = t;
-            t += period[q];
-            ++idle;
-        }
-        if (idle == 0)
+        auto before = [&](double t) {
+            return t < wake[q] && (t < at || (t == at && q < p));
+        };
+        GridWalk w = walkGrid(next_tick[q], period[q], before);
+        if (w.steps == 0)
             return;
-        models_[q]->skipIdleTicks(last);
+        next_tick[q] = w.end;
+        models_[q]->skipIdleTicks(w.last);
         if (telemetry_) {
-            partTel_[q].hostCycles += idle;
-            obs::add(partTel_[q].waitTicks, idle);
+            partTel_[q].hostCycles += w.steps;
+            obs::add(partTel_[q].waitTicks, w.steps);
         }
     };
     auto settleAll = [&](double at, size_t p) {
@@ -867,15 +866,14 @@ MultiFpgaSim::runLoop(uint64_t target_cycles)
     // or after until[q], or an earlier one that must run for the
     // watchdog, an FMR sample or a progress report.
     auto snap = [&](size_t q) {
-        double t = next_tick[q];
-        while (t < until[q] && t - last_progress <= deadlock_window &&
-               !(fmr_sampling &&
-                 t - partTel_[q].lastFmrSampleNs >=
-                     tcfg->fmrSampleIntervalNs) &&
-               !(reporting &&
-                 t - lastReportNs_ >= tcfg->progressIntervalNs))
-            t += period[q];
-        wake[q] = t;
+        auto skippable = [&](double t) {
+            return t < until[q] && t - last_progress <= deadlock_window &&
+                   !(fmr_sampling && t - partTel_[q].lastFmrSampleNs >=
+                                         tcfg->fmrSampleIntervalNs) &&
+                   !(reporting &&
+                     t - lastReportNs_ >= tcfg->progressIntervalNs);
+        };
+        wake[q] = walkGrid(next_tick[q], period[q], skippable).end;
         parked[q] = 0;
     };
 

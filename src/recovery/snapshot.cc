@@ -24,20 +24,10 @@ bytesCrc(const std::string &bytes)
 uint64_t
 fnv1a(const std::string &bytes)
 {
-    uint64_t h = 1469598103934665603ULL;
+    uint64_t h = kFnvOffset;
     for (unsigned char c : bytes) {
         h ^= c;
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
-
-uint64_t
-fnv1aMix(uint64_t h, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xFF;
-        h *= 1099511628211ULL;
+        h *= kFnvPrime;
     }
     return h;
 }

@@ -27,7 +27,10 @@
 #ifndef FIREAXE_RECOVERY_SNAPSHOT_HH
 #define FIREAXE_RECOVERY_SNAPSHOT_HH
 
+#include <array>
+#include <bit>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -39,8 +42,47 @@ uint32_t bytesCrc(const std::string &bytes);
 
 /** FNV-1a over raw bytes (content addressing for design/plan). */
 uint64_t fnv1a(const std::string &bytes);
-/** Fold one more 64-bit value into a running FNV-1a hash. */
-uint64_t fnv1aMix(uint64_t h, uint64_t v);
+
+inline constexpr uint64_t kFnvOffset = 1469598103934665603ULL;
+inline constexpr uint64_t kFnvPrime = 1099511628211ULL;
+
+/** kFnvPrimePow[k] = kFnvPrime^k mod 2^64, for k in [0, 8]. */
+inline constexpr std::array<uint64_t, 9> kFnvPrimePow = [] {
+    std::array<uint64_t, 9> pow{};
+    pow[0] = 1;
+    for (size_t k = 1; k < pow.size(); ++k)
+        pow[k] = pow[k - 1] * kFnvPrime;
+    return pow;
+}();
+
+/**
+ * Fold one more 64-bit value into a running FNV-1a hash, byte by
+ * byte from the least significant. Only the low n bytes of @p v can
+ * be non-zero, n = ceil(bit_width(v) / 8) (taken as 1 for v = 0).
+ * Each of the 8 - n zero bytes above them is `h ^= 0; h *= P`, so
+ * they and the last non-zero byte's multiply are one multiply by
+ * P^(9-n). The result is bit-identical to the eight-step loop, at n
+ * multiplies instead of 8.
+ */
+inline uint64_t
+fnv1aMix(uint64_t h, uint64_t v)
+{
+    int n = int((std::bit_width(v | 1) + 7) / 8);
+    for (int i = 0; i + 1 < n; ++i) {
+        h ^= (v >> (8 * i)) & 0xFF;
+        h *= kFnvPrime;
+    }
+    return (h ^ (v >> (8 * (n - 1)))) * kFnvPrimePow[9 - n];
+}
+
+/** Fold every value of a signal array, in order, into @p h. */
+inline uint64_t
+hashSignals(uint64_t h, std::span<const uint64_t> values)
+{
+    for (uint64_t v : values)
+        h = fnv1aMix(h, v);
+    return h;
+}
 
 /** One shard file of a committed generation. */
 struct ShardInfo

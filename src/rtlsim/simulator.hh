@@ -25,6 +25,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -121,6 +122,8 @@ class Simulator
      *  signals). */
     uint64_t peek(const std::string &name) const;
     uint64_t peekIdx(int idx) const { return values_[idx]; }
+    /** Every signal's current value, indexed like peekIdx(). */
+    std::span<const uint64_t> values() const { return values_; }
 
     /** Recompute all combinational signals and register next-values
      *  from the current inputs and sequential state. */

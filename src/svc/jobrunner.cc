@@ -23,8 +23,6 @@ elapsedNs(std::chrono::steady_clock::time_point t0)
         .count();
 }
 
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-
 } // namespace
 
 JobRunner::JobRunner(JobSpec spec, ArtifactCache *cache)
@@ -165,7 +163,7 @@ JobRunner::execute(std::ostream *stream_sink)
         // hashFrom stay excluded
         // symmetrically in resumed and golden runs.
         outcome_.hashFrom = spec_.hashFrom;
-        traceHash_.assign(nparts, kFnvOffset);
+        traceHash_.assign(nparts, recovery::kFnvOffset);
         for (size_t p = 0; p < nparts; ++p) {
             sim_->setMonitor(
                 int(p), [this, p](rtlsim::Simulator &s,
@@ -175,9 +173,8 @@ JobRunner::execute(std::ostream *stream_sink)
                     uint64_t h = traceHash_[p];
                     h = recovery::fnv1aMix(h, cycle);
                     h = recovery::fnv1aMix(h, thread);
-                    for (size_t i = 0; i < s.numSignals(); ++i)
-                        h = recovery::fnv1aMix(h, s.peekIdx(int(i)));
-                    traceHash_[p] = h;
+                    traceHash_[p] =
+                        recovery::hashSignals(h, s.values());
                 });
         }
 
@@ -245,19 +242,17 @@ JobRunner::execute(std::ostream *stream_sink)
                 outcome_.error = "drain snapshot failed: " + error;
         }
 
-        uint64_t trace = kFnvOffset;
+        uint64_t trace = recovery::kFnvOffset;
         for (size_t p = 0; p < nparts; ++p)
             trace = recovery::fnv1aMix(trace, traceHash_[p]);
         outcome_.traceHash = trace;
 
-        uint64_t final_sig = kFnvOffset;
+        uint64_t final_sig = recovery::kFnvOffset;
         for (size_t p = 0; p < nparts; ++p) {
             const auto &m = sim_->model(int(p));
-            final_sig =
-                recovery::fnv1aMix(final_sig, m.minTargetCycle());
-            for (size_t i = 0; i < m.sim().numSignals(); ++i)
-                final_sig = recovery::fnv1aMix(
-                    final_sig, m.sim().peekIdx(int(i)));
+            final_sig = recovery::hashSignals(
+                recovery::fnv1aMix(final_sig, m.minTargetCycle()),
+                m.sim().values());
         }
         outcome_.finalSig = final_sig;
 

@@ -27,6 +27,11 @@ JobSpec::validate() const
         return "resume needs a snapshot directory";
     if (faultRate < 0.0 || faultRate > 1.0)
         return "fault rate must be in [0, 1]";
+    if (channelCapacity < -1 || channelCapacity > kMaxChannelCapacity)
+        return "channel capacity must be in [0, " +
+               std::to_string(kMaxChannelCapacity) +
+               "] tokens (or -1 to keep the plan's), got " +
+               std::to_string(channelCapacity);
     return "";
 }
 

@@ -72,8 +72,19 @@ struct JobSpec
      * >= 0 forces every planned channel to that capacity before
      * verification. 0 is statically invalid (PLAN007) — the knob CI
      * uses to exercise the service's structured-rejection path.
+     * validate() caps it at kMaxChannelCapacity.
      */
     int channelCapacity = -1;
+
+    /**
+     * Largest accepted channel-capacity override, in tokens. Every
+     * channel allocates its token rings up front, each up to twice
+     * its capacity, so an unbounded override is an unbounded
+     * allocation.
+     * Planned channels hold 16 tokens; 4096 leaves ample room for
+     * buffering studies.
+     */
+    static constexpr int kMaxChannelCapacity = 4096;
 
     /** "" when well-formed, else a diagnostic ("--flag style"). */
     std::string validate() const;

@@ -441,8 +441,9 @@ TEST(CutCost, SchemaValidReportsForAllShippedTargets)
             EXPECT_EQ(c.u64("rank"), i + 1);
             EXPECT_GT(c.num("cost_ns"), 0.0);
             EXPECT_GE(c.num("chain_ns"), c.num("cost_ns"));
-            if (i > 0)
+            if (i > 0) {
                 EXPECT_LE(c.num("chain_ns"), prev_chain);
+            }
             prev_chain = c.num("chain_ns");
             share_sum += c.num("share_pct");
             blocking += c.flag("blocking") ? 1 : 0;

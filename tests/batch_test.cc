@@ -165,12 +165,11 @@ statusRecorder(std::vector<uint64_t> &out)
 uint64_t
 stateSignature(MultiFpgaSim &sim, size_t nparts)
 {
-    uint64_t h = 1469598103934665603ull;
+    uint64_t h = recovery::kFnvOffset;
     for (size_t p = 0; p < nparts; ++p) {
         auto &m = sim.model(int(p));
-        h = recovery::fnv1aMix(h, m.minTargetCycle());
-        for (size_t i = 0; i < m.sim().numSignals(); ++i)
-            h = recovery::fnv1aMix(h, m.sim().peekIdx(int(i)));
+        h = recovery::hashSignals(
+            recovery::fnv1aMix(h, m.minTargetCycle()), m.sim().values());
     }
     return h;
 }
@@ -498,9 +497,10 @@ TEST(BatchSnapshot, MidBatchResumeBitExact)
     EXPECT_EQ(stateSignature(sim, plan.partitions.size()), golden_sig);
     ASSERT_FALSE(obs.empty());
     for (const auto &[cycle, value] : obs) {
-        if (cycle < golden_obs.size())
+        if (cycle < golden_obs.size()) {
             ASSERT_EQ(value, golden_obs[cycle])
                 << "resume divergence at cycle " << cycle;
+        }
     }
     fs::remove_all(dir);
 }

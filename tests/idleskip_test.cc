@@ -39,6 +39,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <random>
 #include <regex>
 #include <sstream>
 #include <string>
@@ -49,6 +50,7 @@
 #include "firrtl/builder.hh"
 #include "platform/executor.hh"
 #include "platform/fpga.hh"
+#include "platform/gridwalk.hh"
 #include "recovery/snapshot.hh"
 #include "ripper/partition.hh"
 #include "rtlsim/engine.hh"
@@ -61,7 +63,7 @@ using namespace fireaxe;
 
 namespace {
 
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
+using recovery::kFnvOffset;
 constexpr uint64_t kCycles = 2000;
 
 const char *const kTargets[] = {"fig2",     "fig3",     "bus-soc",
@@ -386,9 +388,7 @@ runCase(const CaseSpec &c)
             uint64_t h = trace[p];
             h = recovery::fnv1aMix(h, cycle);
             h = recovery::fnv1aMix(h, thread);
-            for (size_t i = 0; i < s.numSignals(); ++i)
-                h = recovery::fnv1aMix(h, s.peekIdx(int(i)));
-            trace[p] = h;
+            trace[p] = recovery::hashSignals(h, s.values());
         });
     }
 
@@ -408,10 +408,9 @@ runCase(const CaseSpec &c)
     uint64_t final_sig = kFnvOffset;
     for (size_t p = 0; p < nparts; ++p) {
         const auto &m = sim.model(int(p));
-        final_sig = recovery::fnv1aMix(final_sig, m.minTargetCycle());
-        for (size_t i = 0; i < m.sim().numSignals(); ++i)
-            final_sig =
-                recovery::fnv1aMix(final_sig, m.sim().peekIdx(int(i)));
+        final_sig = recovery::hashSignals(
+            recovery::fnv1aMix(final_sig, m.minTargetCycle()),
+            m.sim().values());
     }
     put("final_sig", hex(final_sig));
     for (size_t p = 0; p < nparts; ++p) {
@@ -574,6 +573,101 @@ TEST(IdleSkipFixtures, SomeFaultedCaseRetransmits)
             if (key == "retransmits" && value != "0")
                 ++faulted_with_rtx;
     EXPECT_GT(faulted_with_rtx, 0u);
+}
+
+/** The `t += period` loop walkGrid must reproduce bit for bit. */
+template <class Holds>
+platform::GridWalk
+stepByStep(double t, double period, Holds holds)
+{
+    platform::GridWalk w{t, t, 0};
+    while (holds(w.end)) {
+        w.last = w.end;
+        w.end += period;
+        ++w.steps;
+    }
+    return w;
+}
+
+/** Walk with both, require identical results, and return how many
+ *  times walkGrid evaluated the predicate. */
+template <class Holds>
+uint64_t
+expectSameWalk(double t, double period, Holds holds)
+{
+    uint64_t evals = 0;
+    auto counted = [&](double x) {
+        ++evals;
+        return holds(x);
+    };
+    platform::GridWalk got = platform::walkGrid(t, period, counted);
+    platform::GridWalk want = stepByStep(t, period, holds);
+    EXPECT_EQ(bits(got.end), bits(want.end)) << t << " += " << period;
+    EXPECT_EQ(bits(got.last), bits(want.last)) << t << " += " << period;
+    EXPECT_EQ(got.steps, want.steps) << t << " += " << period;
+    return evals;
+}
+
+TEST(GridWalk, IntegralGridJumpEqualsRepeatedAddition)
+{
+    std::mt19937_64 rng(18);
+    // 100 MHz (the shipped clock), FAME-5 multiples of it, and
+    // other integral periods.
+    const double periods[] = {10.0, 20.0, 40.0, 1.0, 7.0, 4000.0};
+    for (double period : periods) {
+        for (int i = 0; i < 200; ++i) {
+            double t = period * double(rng() % 100000);
+            double bound = t + double(rng() % 5000000) / 7.0;
+            uint64_t steps = stepByStep(t, period, [&](double x) {
+                                 return x < bound;
+                             }).steps;
+            uint64_t evals = expectSameWalk(
+                t, period, [&](double x) { return x < bound; });
+            // O(log k): galloping plus bisection.
+            uint64_t log2 = 0;
+            while ((uint64_t(1) << log2) <= steps)
+                ++log2;
+            EXPECT_LE(evals, 2 * log2 + 2) << steps << " steps";
+
+            // The settle predicate's (time, index) tie-break.
+            double at = t + period * double(rng() % 1000);
+            bool tie = rng() % 2;
+            expectSameWalk(t, period, [&](double x) {
+                return x < bound && (x < at || (x == at && tie));
+            });
+        }
+    }
+    // A predicate that fails at once takes no step.
+    EXPECT_EQ(expectSameWalk(30.0, 10.0, [](double) { return false; }),
+              1u);
+}
+
+TEST(GridWalk, InexactGridsTakeTheStepLoop)
+{
+    // Non-integer clocks: the mixed-clock cases' periods and more.
+    for (double mhz : {90.0, 137.0, 61.5, 75.0, 175.0, 300.0}) {
+        double period = 1000.0 / mhz;
+        double bound = 12345.6;
+        uint64_t steps = stepByStep(0.0, period, [&](double x) {
+                             return x < bound;
+                         }).steps;
+        uint64_t evals = expectSameWalk(
+            0.0, period, [&](double x) { return x < bound; });
+        EXPECT_GT(evals, steps) << period;
+    }
+    // A non-integral start on an integral period.
+    uint64_t evals =
+        expectSameWalk(0.5, 10.0, [](double x) { return x < 1000.0; });
+    EXPECT_GT(evals, 100u);
+
+    // A walk that would cross 2^53, where sums stop being exact.
+    const double limit = 0x1p53;
+    evals = expectSameWalk(limit - 64.0, 16.0,
+                           [&](double x) { return x < limit + 64.0; });
+    EXPECT_GT(evals, 8u);
+    // Just below 2^53 the jump still applies.
+    expectSameWalk(limit - 64000.0, 16.0,
+                   [&](double x) { return x < limit - 32.0; });
 }
 
 } // namespace

@@ -20,6 +20,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -79,10 +80,9 @@ recorder(CycleTrace &out)
 {
     return [&out](rtlsim::Simulator &sim, unsigned thread,
                   uint64_t cycle) {
-        uint64_t v = recovery::fnv1aMix(1469598103934665603ull,
-                                        thread);
-        for (size_t i = 0; i < sim.numSignals(); ++i)
-            v = recovery::fnv1aMix(v, sim.peekIdx(int(i)));
+        uint64_t v = recovery::hashSignals(
+            recovery::fnv1aMix(recovery::kFnvOffset, thread),
+            sim.values());
         auto it = out.find(cycle);
         if (it != out.end()) {
             ASSERT_EQ(it->second, v)
@@ -98,12 +98,11 @@ recorder(CycleTrace &out)
 uint64_t
 stateSignature(MultiFpgaSim &sim, size_t nparts)
 {
-    uint64_t h = 1469598103934665603ull;
+    uint64_t h = recovery::kFnvOffset;
     for (size_t p = 0; p < nparts; ++p) {
         auto &m = sim.model(int(p));
-        h = recovery::fnv1aMix(h, m.minTargetCycle());
-        for (size_t i = 0; i < m.sim().numSignals(); ++i)
-            h = recovery::fnv1aMix(h, m.sim().peekIdx(int(i)));
+        h = recovery::hashSignals(
+            recovery::fnv1aMix(h, m.minTargetCycle()), m.sim().values());
     }
     return h;
 }
@@ -181,6 +180,51 @@ goldenRun(const firrtl::Circuit &soc, const ExecConfig &exec,
 // ---------------------------------------------------------------
 // SnapshotStore: durable commit protocol
 // ---------------------------------------------------------------
+
+/** FNV-1a folded one byte at a time over all eight bytes of @p v:
+ *  the definition fnv1aMix must reproduce bit for bit. */
+uint64_t
+byteWiseFnv1aMix(uint64_t h, uint64_t v)
+{
+    for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (8 * i)) & 0xFF;
+        h *= 1099511628211ULL;
+    }
+    return h;
+}
+
+TEST(TraceHash, ZeroByteCollapseIsValueIdentical)
+{
+    std::mt19937_64 rng(18);
+    std::vector<uint64_t> values = {0, ~0ULL};
+    // Every byte width from 1 to 8: the smallest and largest value
+    // of that width, and random ones.
+    for (int bytes = 1; bytes <= 8; ++bytes) {
+        uint64_t top = 1ULL << (8 * bytes - 1);
+        uint64_t all = top | (top - 1);
+        values.push_back(top);
+        values.push_back(all);
+        for (int i = 0; i < 16; ++i)
+            values.push_back((rng() & all) | top);
+    }
+    // Random values of random bit width, as masked signals have.
+    for (int i = 0; i < 2000; ++i)
+        values.push_back(rng() >> (rng() % 64));
+
+    std::vector<uint64_t> seeds = {0, ~0ULL, recovery::kFnvOffset};
+    for (int i = 0; i < 8; ++i)
+        seeds.push_back(rng());
+    for (uint64_t h : seeds)
+        for (uint64_t v : values)
+            ASSERT_EQ(recovery::fnv1aMix(h, v), byteWiseFnv1aMix(h, v))
+                << "h=" << h << " v=" << v;
+
+    // hashSignals is the same fold over an array, in order.
+    uint64_t want = recovery::kFnvOffset;
+    for (uint64_t v : values)
+        want = byteWiseFnv1aMix(want, v);
+    EXPECT_EQ(recovery::hashSignals(recovery::kFnvOffset, values), want);
+}
 
 TEST(SnapshotStore, CommitLoadRoundTripAndGenerations)
 {

@@ -78,12 +78,11 @@ submitLine(const svc::JobSpec &spec)
 uint64_t
 finalStateSignature(platform::MultiFpgaSim &sim, size_t nparts)
 {
-    uint64_t h = 1469598103934665603ull;
+    uint64_t h = recovery::kFnvOffset;
     for (size_t p = 0; p < nparts; ++p) {
         auto &m = sim.model(int(p));
-        h = recovery::fnv1aMix(h, m.minTargetCycle());
-        for (size_t i = 0; i < m.sim().numSignals(); ++i)
-            h = recovery::fnv1aMix(h, m.sim().peekIdx(int(i)));
+        h = recovery::hashSignals(
+            recovery::fnv1aMix(h, m.minTargetCycle()), m.sim().values());
     }
     return h;
 }
@@ -261,6 +260,41 @@ TEST(SvcProtocol, OutOfRangeIntegersRejected)
     EXPECT_EQ(spec.sampleEvery, 4294967295u);
     EXPECT_EQ(spec.channelCapacity, 2147483647);
     EXPECT_EQ(spec.cycles, uint64_t(1) << 63);
+}
+
+// The channel-capacity override is bounded: every channel allocates
+// its token rings up front, so a capacity the parser accepts can
+// still be an allocation no host can make. validate() answers it
+// with a structured error before anything is built.
+TEST(SvcProtocol, ChannelCapacityOverrideIsBounded)
+{
+    const struct
+    {
+        const char *value;
+        bool valid;
+    } cases[] = {
+        {"-1", true},          {"0", true},     {"16", true},
+        {"4096", true},        {"4097", false}, {"65536", false},
+        {"2147483647", false},
+    };
+    for (const auto &c : cases) {
+        std::string job = "{\"target\":\"fig2\",\"channel_capacity\":" +
+                          std::string(c.value) + "}";
+        obs::JsonValue v;
+        std::string error;
+        ASSERT_TRUE(obs::parseJson(job, v, error)) << error;
+        svc::JobSpec spec;
+        ASSERT_TRUE(svc::parseJobSpec(v, spec, error)) << error;
+        std::string bad = spec.validate();
+        if (c.valid) {
+            EXPECT_EQ(bad, "") << job;
+        } else {
+            EXPECT_NE(bad.find("channel capacity must be in [0, 4096]"),
+                      std::string::npos)
+                << job << " -> '" << bad << "'";
+            EXPECT_NE(bad.find(c.value), std::string::npos) << bad;
+        }
+    }
 }
 
 // Existing clients (the benchmark's job plans among them) still send
@@ -701,6 +735,32 @@ TEST(SvcService, StructuredRejectionForInvalidPlan)
     EXPECT_NE(line.find("\"type\":\"error\""), std::string::npos);
     EXPECT_NE(line.find("\"code\":\"verify\""), std::string::npos);
     EXPECT_NE(line.find("PLAN007"), std::string::npos);
+}
+
+TEST(SvcService, OversizedChannelCapacityIsABadRequest)
+{
+    svc::Request req;
+    std::string error;
+    ASSERT_TRUE(svc::parseRequest(
+        "{\"type\":\"submit\",\"schema\":\"" +
+            std::string(svc::kJobSchema) +
+            "\",\"job\":{\"target\":\"fig2\",\"cycles\":100,"
+            "\"channel_capacity\":2147483647}}",
+        req, error))
+        << error;
+
+    svc::SimService service;
+    JobProbe probe;
+    uint64_t id = service.submit(req.job, probe.sink());
+    ASSERT_TRUE(service.waitJob(id));
+    probe.waitTerminal();
+    std::string line = probe.terminalLine();
+    EXPECT_NE(line.find("\"type\":\"error\""), std::string::npos) << line;
+    EXPECT_NE(line.find("\"code\":\"bad_request\""), std::string::npos)
+        << line;
+    EXPECT_NE(line.find("channel capacity must be in [0, 4096]"),
+              std::string::npos)
+        << line;
 }
 
 TEST(SvcService, DrainStopsInFlightJobAndLeavesResumableSnapshot)

@@ -18,10 +18,12 @@
  * deadlock.
  */
 
+#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "obs/jsonparse.hh"
@@ -70,7 +72,9 @@ usage(std::ostream &os, int status)
           "  --channel-capacity N\n"
           "                      override every planned channel's "
           "token\n"
-          "                      capacity (0 is statically invalid)\n"
+          "                      capacity, at most "
+       << svc::JobSpec::kMaxChannelCapacity
+       << " (0 is statically invalid)\n"
           "  --json FILE         append a JSON result row to FILE\n"
           "  --stream FILE       streaming telemetry JSONL (also "
           "FIREAXE_STREAM);\n"
@@ -87,18 +91,31 @@ usage(std::ostream &os, int status)
     return status;
 }
 
+/** Parse a flag's unsigned value; exits 2 when it is not an integer
+ *  in [0, @p max], so that callers may narrow it without loss. */
 uint64_t
-parseU64(const std::string &flag, const std::string &text)
+parseU64(const std::string &flag, const std::string &text,
+         uint64_t max = std::numeric_limits<uint64_t>::max())
 {
     char *end = nullptr;
+    errno = 0;
     unsigned long long v = std::strtoull(text.c_str(), &end, 0);
-    if (!end || *end != '\0') {
+    if (!end || end == text.c_str() || *end != '\0') {
         std::cerr << "fireaxe-run: " << flag
                   << " needs an integer, got '" << text << "'\n";
         exit(2);
     }
+    // strtoull wraps a leading '-' and clamps overflow to its max.
+    if (errno == ERANGE || text.find('-') != std::string::npos ||
+        v > max) {
+        std::cerr << "fireaxe-run: " << flag << " must be in [0, "
+                  << max << "], got '" << text << "'\n";
+        exit(2);
+    }
     return v;
 }
+
+constexpr uint64_t kMaxUnsigned = std::numeric_limits<unsigned>::max();
 
 /** Requested batch depth the run will use: the spec's explicit
  *  value, else the process-wide FIREAXE_BATCH_DEPTH default. */
@@ -297,8 +314,8 @@ main(int argc, char **argv)
         } else if (arg == "--engine") {
             spec.engine = value("--engine");
         } else if (arg == "--batch-depth") {
-            spec.batchDepth =
-                unsigned(parseU64(arg, value("--batch-depth")));
+            spec.batchDepth = unsigned(
+                parseU64(arg, value("--batch-depth"), kMaxUnsigned));
         } else if (arg == "--fault-rate") {
             spec.faultRate =
                 std::atof(value("--fault-rate").c_str());
@@ -314,15 +331,16 @@ main(int argc, char **argv)
         } else if (arg == "--hash-from") {
             spec.hashFrom = parseU64(arg, value("--hash-from"));
         } else if (arg == "--channel-capacity") {
-            spec.channelCapacity =
-                int(parseU64(arg, value("--channel-capacity")));
+            spec.channelCapacity = int(
+                parseU64(arg, value("--channel-capacity"),
+                         svc::JobSpec::kMaxChannelCapacity));
         } else if (arg == "--json") {
             json_path = value("--json");
         } else if (arg == "--stream") {
             stream_path = value("--stream");
         } else if (arg == "--sample-every") {
-            spec.sampleEvery =
-                unsigned(parseU64(arg, value("--sample-every")));
+            spec.sampleEvery = unsigned(
+                parseU64(arg, value("--sample-every"), kMaxUnsigned));
         } else if (arg == "--stream-every") {
             spec.streamEvery =
                 parseU64(arg, value("--stream-every"));
