@@ -9,6 +9,7 @@
 #ifndef FIREAXE_OBS_JSON_HH
 #define FIREAXE_OBS_JSON_HH
 
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -21,31 +22,51 @@
 
 namespace fireaxe::obs {
 
-/** Write @p s with JSON string escaping (quotes not included). */
+/** Write @p s with JSON string escaping (quotes not included).
+ *  Runs of characters that need no escape go out in one write. */
 inline void
 jsonEscape(std::ostream &os, std::string_view s)
 {
-    for (char c : s) {
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\r': os << "\\r"; break;
-          case '\t': os << "\\t"; break;
+    size_t run = 0;
+    for (size_t i = 0; i < s.size(); ++i) {
+        const char *esc = nullptr;
+        switch (s[i]) {
+          case '"': esc = "\\\""; break;
+          case '\\': esc = "\\\\"; break;
+          case '\n': esc = "\\n"; break;
+          case '\r': esc = "\\r"; break;
+          case '\t': esc = "\\t"; break;
           default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                os << buf;
-            } else {
-                os << c;
-            }
+            if (static_cast<unsigned char>(s[i]) >= 0x20)
+                continue;
+        }
+        os.write(s.data() + run, std::streamsize(i - run));
+        run = i + 1;
+        if (esc) {
+            os << esc;
+        } else {
+            char buf[8];
+            std::snprintf(buf, sizeof(buf), "\\u%04x", s[i]);
+            os << buf;
         }
     }
+    os.write(s.data() + run, std::streamsize(s.size() - run));
+}
+
+/** Write an integer in plain decimal. */
+template <typename Int>
+inline void
+jsonInteger(std::ostream &os, Int v)
+{
+    char buf[24];
+    auto res = std::to_chars(buf, buf + sizeof(buf), v);
+    os.write(buf, res.ptr - buf);
 }
 
 /** Format a double as a JSON number (inf/NaN become null, which
- *  keeps every exporter's output parseable). */
+ *  keeps every exporter's output parseable). The bytes are those of
+ *  printf("%.12g"), which std::to_chars with general format and
+ *  precision 12 is defined to produce. */
 inline void
 jsonNumber(std::ostream &os, double v)
 {
@@ -54,8 +75,9 @@ jsonNumber(std::ostream &os, double v)
         return;
     }
     char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.12g", v);
-    os << buf;
+    auto res = std::to_chars(buf, buf + sizeof(buf), v,
+                             std::chars_format::general, 12);
+    os.write(buf, res.ptr - buf);
 }
 
 /**
@@ -121,14 +143,14 @@ class JsonWriter
     value(uint64_t v)
     {
         separator();
-        os_ << v;
+        jsonInteger(os_, v);
     }
 
     void
     value(int v)
     {
         separator();
-        os_ << v;
+        jsonInteger(os_, v);
     }
 
     void

@@ -18,7 +18,68 @@ kindName(MetricKind kind)
     return "?";
 }
 
+/** One metric's member of a metrics object: the serializer behind
+ *  both MetricsSnapshot::writeValues and MetricsRegistry::writeValues. */
+void
+writeMetric(JsonWriter &w, std::string_view path, const MetricValue &v)
+{
+    w.key(path);
+    w.beginObject();
+    w.key("kind");
+    w.value(kindName(v.kind));
+    switch (v.kind) {
+      case MetricKind::Counter:
+        w.key("value");
+        w.value(v.count);
+        break;
+      case MetricKind::Gauge:
+        w.key("value");
+        w.value(v.value);
+        break;
+      case MetricKind::Histogram:
+        w.key("count");
+        w.value(v.count);
+        w.key("mean");
+        w.value(v.mean);
+        w.key("min");
+        w.value(v.min);
+        w.key("max");
+        w.value(v.max);
+        w.key("p50");
+        w.value(v.p50);
+        w.key("p90");
+        w.value(v.p90);
+        w.key("p95");
+        w.value(v.p95);
+        w.key("p99");
+        w.value(v.p99);
+        break;
+    }
+    w.endObject();
+}
+
 } // namespace
+
+MetricValue
+Histogram::value() const
+{
+    static constexpr double kPs[] = {50.0, 90.0, 95.0, 99.0};
+    double ps[4];
+    MetricValue v;
+    v.kind = MetricKind::Histogram;
+    std::lock_guard<std::mutex> lock(mtx_);
+    dist_.percentiles(kPs, ps);
+    v.count = dist_.count();
+    v.mean = dist_.mean();
+    v.min = dist_.min();
+    v.max = dist_.max();
+    v.p50 = ps[0];
+    v.p90 = ps[1];
+    v.p95 = ps[2];
+    v.p99 = ps[3];
+    v.value = v.mean;
+    return v;
+}
 
 const MetricValue *
 MetricsSnapshot::find(const std::string &path) const
@@ -44,41 +105,8 @@ MetricsSnapshot::gauge(const std::string &path) const
 void
 MetricsSnapshot::writeValues(JsonWriter &w) const
 {
-    for (const auto &[path, v] : values) {
-        w.key(path);
-        w.beginObject();
-        w.key("kind");
-        w.value(kindName(v.kind));
-        switch (v.kind) {
-          case MetricKind::Counter:
-            w.key("value");
-            w.value(v.count);
-            break;
-          case MetricKind::Gauge:
-            w.key("value");
-            w.value(v.value);
-            break;
-          case MetricKind::Histogram:
-            w.key("count");
-            w.value(v.count);
-            w.key("mean");
-            w.value(v.mean);
-            w.key("min");
-            w.value(v.min);
-            w.key("max");
-            w.value(v.max);
-            w.key("p50");
-            w.value(v.p50);
-            w.key("p90");
-            w.value(v.p90);
-            w.key("p95");
-            w.value(v.p95);
-            w.key("p99");
-            w.value(v.p99);
-            break;
-        }
-        w.endObject();
-    }
+    for (const auto &[path, v] : values)
+        writeMetric(w, path, v);
 }
 
 void
@@ -171,39 +199,38 @@ MetricsRegistry::histogram(const std::string &path,
                 .histogram;
 }
 
+MetricValue
+MetricsRegistry::Metric::value() const
+{
+    if (kind == MetricKind::Histogram)
+        return histogram->value();
+    MetricValue v;
+    v.kind = kind;
+    if (kind == MetricKind::Counter) {
+        v.count = counter.value();
+        v.value = double(v.count);
+    } else {
+        v.value = gauge.value();
+    }
+    return v;
+}
+
 MetricsSnapshot
 MetricsRegistry::snapshot() const
 {
     std::lock_guard<std::mutex> lock(mtx_);
     MetricsSnapshot snap;
-    for (const auto &[path, m] : metrics_) {
-        MetricValue v;
-        v.kind = m.kind;
-        switch (m.kind) {
-          case MetricKind::Counter:
-            v.count = m.counter.value();
-            v.value = double(v.count);
-            break;
-          case MetricKind::Gauge:
-            v.value = m.gauge.value();
-            break;
-          case MetricKind::Histogram: {
-            const Histogram &h = *m.histogram;
-            v.count = h.count();
-            v.mean = h.mean();
-            v.min = h.min();
-            v.max = h.max();
-            v.p50 = h.percentile(50.0);
-            v.p90 = h.percentile(90.0);
-            v.p95 = h.percentile(95.0);
-            v.p99 = h.percentile(99.0);
-            v.value = v.mean;
-            break;
-          }
-        }
-        snap.values.emplace(path, v);
-    }
+    for (const auto &[path, m] : metrics_)
+        snap.values.emplace_hint(snap.values.end(), path, m.value());
     return snap;
+}
+
+void
+MetricsRegistry::writeValues(JsonWriter &w) const
+{
+    std::lock_guard<std::mutex> lock(mtx_);
+    for (const auto &[path, m] : metrics_)
+        writeMetric(w, path, m.value());
 }
 
 void

@@ -21,7 +21,9 @@
  *
  * snapshot() freezes every metric into a plain-value MetricsSnapshot
  * (returned in platform::RunResult::metrics) which exports to JSON
- * (flat object keyed by dotted path) and CSV.
+ * (flat object keyed by dotted path) and CSV. writeValues() emits the
+ * same JSON members from the live registry without the intermediate
+ * copy; both go through one per-metric serializer.
  */
 
 #ifndef FIREAXE_OBS_METRICS_HH
@@ -83,6 +85,27 @@ class Gauge
     std::atomic<double> v_{0.0};
 };
 
+enum class MetricKind { Counter, Gauge, Histogram };
+
+/** One metric's frozen value. */
+struct MetricValue
+{
+    MetricKind kind = MetricKind::Counter;
+    /** Counter/gauge value (counters as double for uniform access;
+     *  use count for the exact integer). */
+    double value = 0.0;
+    /** Counter value / histogram sample count. */
+    uint64_t count = 0;
+    // Histogram-only fields.
+    double mean = 0.0;
+    double min = 0.0;
+    double max = 0.0;
+    double p50 = 0.0;
+    double p90 = 0.0;
+    double p95 = 0.0;
+    double p99 = 0.0;
+};
+
 /**
  * Sample-distribution metric with bounded memory: exact percentiles
  * up to the reservoir cap, documented reservoir approximation above
@@ -139,6 +162,10 @@ class Histogram
         return dist_.percentile(p);
     }
 
+    /** Every field of the frozen value (count, mean, min, max and
+     *  p50/p90/p95/p99 from one ordered view) under one lock. */
+    MetricValue value() const;
+
     bool
     exact() const
     {
@@ -182,27 +209,6 @@ observe(Histogram *h, double v)
     if (h)
         h->observe(v);
 }
-
-enum class MetricKind { Counter, Gauge, Histogram };
-
-/** One metric's frozen value. */
-struct MetricValue
-{
-    MetricKind kind = MetricKind::Counter;
-    /** Counter/gauge value (counters as double for uniform access;
-     *  use count for the exact integer). */
-    double value = 0.0;
-    /** Counter value / histogram sample count. */
-    uint64_t count = 0;
-    // Histogram-only fields.
-    double mean = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-    double p50 = 0.0;
-    double p90 = 0.0;
-    double p95 = 0.0;
-    double p99 = 0.0;
-};
 
 class JsonWriter;
 
@@ -274,6 +280,13 @@ class MetricsRegistry
     }
 
     MetricsSnapshot snapshot() const;
+    /**
+     * The same per-metric members as MetricsSnapshot::writeValues(),
+     * byte for byte, written straight from the live metrics in one
+     * locked pass in path order — no snapshot is built. The
+     * telemetry stream writes each metrics line this way.
+     */
+    void writeValues(JsonWriter &w) const;
     void writeJson(std::ostream &os) const;
     void writeCsv(std::ostream &os) const;
 
@@ -288,6 +301,8 @@ class MetricsRegistry
         Counter counter;
         Gauge gauge;
         std::unique_ptr<Histogram> histogram;
+
+        MetricValue value() const;
     };
 
     Metric &resolve(const std::string &path, MetricKind kind,

@@ -207,7 +207,7 @@ StreamWriter::writeTokens(const std::vector<TokenRecord> &records)
 }
 
 void
-StreamWriter::writeMetrics(const MetricsSnapshot &snap,
+StreamWriter::writeMetrics(const MetricsRegistry &reg,
                            double host_time_ns,
                            uint64_t target_cycle)
 {
@@ -221,7 +221,7 @@ StreamWriter::writeMetrics(const MetricsSnapshot &snap,
     w.value(target_cycle);
     w.key("metrics");
     w.beginObject();
-    snap.writeValues(w);
+    reg.writeValues(w);
     w.endObject();
     w.endObject();
     os_ << "\n";

@@ -45,7 +45,7 @@
 
 namespace fireaxe::obs {
 
-struct MetricsSnapshot;
+class MetricsRegistry;
 
 /** One traced channel's identity (registered by its probe). */
 struct TokenChannelInfo
@@ -233,7 +233,9 @@ class StreamWriter
 
     void writeHeader(const StreamRunInfo &info);
     void writeTokens(const std::vector<TokenRecord> &records);
-    void writeMetrics(const MetricsSnapshot &snap,
+    /** One metrics line, written straight from @p reg (see
+     *  MetricsRegistry::writeValues). */
+    void writeMetrics(const MetricsRegistry &reg,
                       double host_time_ns, uint64_t target_cycle);
     void writeSummary(const StreamSummary &summary);
 

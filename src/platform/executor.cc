@@ -620,7 +620,7 @@ MultiFpgaSim::streamFlush(double now)
         stream_->writeTokens(records);
     }
     if (obs::MetricsRegistry *reg = telemetry_->registry())
-        stream_->writeMetrics(reg->snapshot(), now, cycle);
+        stream_->writeMetrics(*reg, now, cycle);
 }
 
 bool

@@ -7,7 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <iterator>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "base/bits.hh"
 #include "base/logging.hh"
@@ -153,6 +158,102 @@ TEST(Stats, DistributionEmptyIsZero)
     Distribution d;
     EXPECT_EQ(d.percentile(99.0), 0.0);
     EXPECT_EQ(d.mean(), 0.0);
+}
+
+namespace {
+
+/** Read the multi-rank path and percentile(p), and compare both bit
+ *  for bit with the nearest-rank rule on a freshly sorted copy of the
+ *  reservoir. */
+void
+expectMatchesReference(const Distribution &d, const std::string &where)
+{
+    static constexpr double kPs[] = {0.0,  1.0,  25.0, 50.0, 90.0,
+                                     95.0, 99.0, 99.9, 100.0};
+    std::vector<double> sorted(d.samples());
+    std::sort(sorted.begin(), sorted.end());
+    double got[std::size(kPs)];
+    d.percentiles(kPs, got);
+    for (size_t i = 0; i < std::size(kPs); ++i) {
+        double p = kPs[i];
+        double want = 0.0;
+        if (sorted.empty()) {
+            want = 0.0;
+        } else if (p == 0.0) {
+            want = d.min();
+        } else if (p == 100.0) {
+            want = d.max();
+        } else {
+            size_t rank = static_cast<size_t>(
+                (p / 100.0) * (sorted.size() - 1) + 0.5);
+            want = sorted[std::min(rank, sorted.size() - 1)];
+        }
+        EXPECT_EQ(std::bit_cast<uint64_t>(got[i]),
+                  std::bit_cast<uint64_t>(want))
+            << where << " p" << p << ": " << got[i] << " vs " << want;
+        EXPECT_EQ(std::bit_cast<uint64_t>(d.percentile(p)),
+                  std::bit_cast<uint64_t>(want))
+            << where << " percentile(" << p << ")";
+    }
+}
+
+/** Seeded samples with many repeats (so evictions must remove one
+ *  of several equal values) and a spread of magnitudes. */
+double
+drawSample(Rng &rng)
+{
+    switch (rng.below(3)) {
+      case 0: return double(rng.below(50));
+      case 1: return rng.uniform() * 1e6;
+      default: return -rng.uniform() * 3.5;
+    }
+}
+
+} // namespace
+
+TEST(Stats, PercentileViewMatchesCopyAndSort)
+{
+    for (size_t cap : {size_t(1), size_t(3), size_t(64), size_t(4096)}) {
+        Distribution d(cap);
+        Rng rng(0xC0FFEE + cap);
+        std::string tag = "cap " + std::to_string(cap);
+        expectMatchesReference(d, tag + " empty");
+
+        // Reads interleaved with new samples at uneven strides, from
+        // below the cap, through exactly the cap, to 40x past it.
+        const uint64_t total = 40 * cap + 17;
+        uint64_t next_read = 1;
+        for (uint64_t n = 1; n <= total; ++n) {
+            d.sample(drawSample(rng));
+            if (n == next_read || n == cap || n == cap + 1) {
+                expectMatchesReference(
+                    d, tag + " n=" + std::to_string(n));
+                // A second read of an unchanged distribution is
+                // served from the cached view.
+                expectMatchesReference(
+                    d, tag + " reread n=" + std::to_string(n));
+                next_read += 1 + rng.below(cap / 2 + 3);
+            }
+        }
+        EXPECT_FALSE(d.exact());
+
+        // A read after a long unread stretch (more overwrites than
+        // the edit log holds) rebuilds the view.
+        for (uint64_t i = 0; i < 20 * cap; ++i)
+            d.sample(drawSample(rng));
+        expectMatchesReference(d, tag + " after unread stretch");
+
+        d.reset();
+        EXPECT_EQ(d.count(), 0u);
+        expectMatchesReference(d, tag + " after reset");
+        for (uint64_t i = 0; i < cap + cap / 2; ++i) {
+            d.sample(drawSample(rng));
+            if (i % 7 == 0)
+                expectMatchesReference(
+                    d, tag + " refill " + std::to_string(i));
+        }
+        expectMatchesReference(d, tag + " refilled");
+    }
 }
 
 TEST(Stats, CounterSetAccumulates)

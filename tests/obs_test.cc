@@ -11,15 +11,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "base/logging.hh"
+#include "base/random.hh"
+#include "obs/json.hh"
 #include "obs/critpath.hh"
 #include "obs/jsonparse.hh"
 #include "obs/metrics.hh"
@@ -127,6 +131,109 @@ TEST(Metrics, ResetKeepsHandlesAndClearsValues)
     reg.reset();
     EXPECT_EQ(c.value(), 0u);
     EXPECT_EQ(&reg.counter("x"), &c);
+}
+
+TEST(Metrics, RegistryLinesMatchSnapshotBytes)
+{
+    // The stream writes metrics straight from the registry; the bytes
+    // must equal those of a snapshot taken at the same moment, across
+    // histograms below, at and past their reservoir cap and across
+    // reads interleaved with new samples.
+    MetricsRegistry reg(64);
+    Counter &c = reg.counter("z.count");
+    Gauge &g = reg.gauge("a.rate");
+    Histogram &small = reg.histogram("m.lat");
+    Histogram &big = reg.histogram("m.occ", 512);
+    reg.histogram("m.untouched");
+    Rng rng(77);
+    for (int round = 0; round < 40; ++round) {
+        for (int i = 0; i < 37; ++i) {
+            c.add(rng.below(3));
+            g.set(rng.uniform() * 1e3);
+            small.observe(double(rng.below(100)) * 0.5);
+            big.observe(rng.uniform() * 250.0);
+        }
+        std::ostringstream live, frozen;
+        {
+            JsonWriter w(live);
+            w.beginObject();
+            reg.writeValues(w);
+            w.endObject();
+        }
+        {
+            JsonWriter w(frozen);
+            w.beginObject();
+            reg.snapshot().writeValues(w);
+            w.endObject();
+        }
+        ASSERT_EQ(live.str(), frozen.str()) << "round " << round;
+    }
+    EXPECT_FALSE(small.exact());
+    EXPECT_FALSE(big.exact());
+}
+
+TEST(Json, NumberMatchesPrintf12g)
+{
+    // jsonNumber formats with std::to_chars; its bytes must equal
+    // printf("%.12g") for every finite double.
+    std::vector<double> corpus = {
+        0.0,
+        -0.0,
+        1.0,
+        -1.0,
+        1e-7,
+        -1e-7,
+        1e21,
+        -1e21,
+        1e-5,
+        123456789012.0,
+        1234567890123.0,
+        0.1,
+        2.0 / 3.0,
+        9007199254740992.0,
+        9007199254740991.0,
+        std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::min(),
+        std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::lowest(),
+        999999999999.5,
+        9999999999995.0,
+        0.000123456789012345,
+    };
+    Rng rng(0x12C);
+    for (int i = 0; i < 4000; ++i) {
+        // Integers up to 2^53, both signs.
+        double n = double(rng.below(uint64_t(1) << 53));
+        corpus.push_back(i % 2 ? -n : n);
+        // Subnormals: any mantissa under a zero exponent.
+        uint64_t sub = rng.below(uint64_t(1) << 52) |
+                       (i % 2 ? uint64_t(1) << 63 : 0);
+        corpus.push_back(std::bit_cast<double>(sub));
+        // More than 12 significant digits over many decades.
+        double scaled = (rng.uniform() + 1e-3) *
+                        std::pow(10.0, int(rng.below(60)) - 30);
+        corpus.push_back(i % 3 ? scaled : -scaled);
+        // Any finite bit pattern.
+        double any = std::bit_cast<double>(rng.next());
+        if (std::isfinite(any))
+            corpus.push_back(any);
+    }
+    for (double v : corpus) {
+        char want[64];
+        std::snprintf(want, sizeof(want), "%.12g", v);
+        std::ostringstream got;
+        jsonNumber(got, v);
+        ASSERT_EQ(got.str(), want)
+            << "bits " << std::bit_cast<uint64_t>(v);
+    }
+    for (double v : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+        std::ostringstream got;
+        jsonNumber(got, v);
+        EXPECT_EQ(got.str(), "null");
+    }
 }
 
 // ---------------------------------------------------------------

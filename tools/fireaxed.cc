@@ -17,9 +17,11 @@
  * the protocol directly with any line-oriented socket client.
  */
 
+#include <cerrno>
 #include <csignal>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "svc/server.hh"
@@ -37,6 +39,14 @@ onSignal(int)
         g_server->requestShutdown(); // async-signal-safe
 }
 
+/** The most concurrent jobs --workers may ask for: each one is a
+ *  thread running a whole simulation. */
+constexpr uint64_t kMaxWorkers = 256;
+/** The largest --cache-mb / --verify-cache-mb whose byte count still
+ *  fits in size_t. */
+constexpr uint64_t kMaxCacheMb =
+    std::numeric_limits<size_t>::max() >> 20;
+
 int
 usage(std::ostream &os, int status)
 {
@@ -45,24 +55,40 @@ usage(std::ostream &os, int status)
           "options:\n"
           "  --socket PATH     Unix-domain socket to listen on "
           "(required)\n"
-          "  --workers N       concurrent jobs (default 2)\n"
+          "  --workers N       concurrent jobs, at most "
+       << kMaxWorkers
+       << " (default 2)\n"
           "  --cache-mb N      compiled-program + elaboration cache "
           "budget,\n"
-          "                    each N megabytes (default 64)\n"
+          "                    each N megabytes, at most "
+       << kMaxCacheMb
+       << " (default 64)\n"
           "  --verify-cache-mb N\n"
-          "                    verify-report cache budget (default "
-          "8)\n";
+          "                    verify-report cache budget, same "
+          "bound (default 8)\n";
     return status;
 }
 
+/** Parse an unsigned flag value in [0, @p max]; anything else (not a
+ *  number, negative, overflowing, or above @p max) exits 2 naming the
+ *  flag and its range, before the server starts. */
 uint64_t
-parseU64(const std::string &flag, const std::string &text)
+parseU64(const std::string &flag, const std::string &text,
+         uint64_t max)
 {
     char *end = nullptr;
+    errno = 0;
     unsigned long long v = std::strtoull(text.c_str(), &end, 0);
-    if (!end || *end != '\0') {
+    if (!end || end == text.c_str() || *end != '\0') {
         std::cerr << "fireaxed: " << flag
                   << " needs an integer, got '" << text << "'\n";
+        exit(2);
+    }
+    // strtoull wraps a leading '-' and clamps overflow to its max.
+    if (errno == ERANGE || text.find('-') != std::string::npos ||
+        v > max) {
+        std::cerr << "fireaxed: " << flag << " must be in [0, " << max
+                  << "], got '" << text << "'\n";
         exit(2);
     }
     return v;
@@ -88,15 +114,17 @@ main(int argc, char **argv)
         if (arg == "--socket") {
             cfg.socketPath = value("--socket");
         } else if (arg == "--workers") {
-            cfg.service.workers =
-                unsigned(parseU64(arg, value("--workers")));
+            cfg.service.workers = unsigned(
+                parseU64(arg, value("--workers"), kMaxWorkers));
         } else if (arg == "--cache-mb") {
-            size_t mb = size_t(parseU64(arg, value("--cache-mb")));
+            size_t mb = size_t(
+                parseU64(arg, value("--cache-mb"), kMaxCacheMb));
             cfg.service.cache.elabBytes = mb << 20;
             cfg.service.cache.programBytes = mb << 20;
         } else if (arg == "--verify-cache-mb") {
             cfg.service.cache.verifyBytes =
-                size_t(parseU64(arg, value("--verify-cache-mb")))
+                size_t(parseU64(arg, value("--verify-cache-mb"),
+                                kMaxCacheMb))
                 << 20;
         } else if (arg == "--help" || arg == "-h") {
             return usage(std::cout, 0);
